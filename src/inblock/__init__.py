@@ -55,7 +55,6 @@ from .cutset import (
     weakened_bound,
 )
 from .strategies import (
-    MacFbChannel,
     QfReport,
     RateBound,
     bc_cutset_region,

@@ -35,7 +35,7 @@ from .optimize import (
     support_reduction,
 )
 from .probability import FiniteDistribution, binary_entropy
-from .strategies import MacFbChannel, mac_fb_region
+from .strategies import mac_fb_region
 
 
 # -- point-to-point with one-letter feedback ----------------------------------
@@ -212,23 +212,32 @@ def relay_without_delay_example() -> BlockChannel:
 # -- common-feedback multiaccess adder ----------------------------------------------
 
 def binary_adder_mac(G1: np.ndarray | None = None,
-                     G2: np.ndarray | None = None, L: int = 1) -> MacFbChannel:
+                     G2: np.ndarray | None = None, L: int = 1) -> BlockChannel:
     """Integer-addition MAC Y = G1 X1 + G2 X2 with lower-triangular 0/1 gains
-    (G1 has a unit diagonal) and the output fed back to both senders."""
+    (G1 has a unit diagonal) and the output fed back to both senders.
+
+    Nodes 1 and 2 are the senders, with silent outputs and code trees that
+    read the receiver's output; node 3 is the receiver."""
     G1 = np.eye(L, dtype=int) if G1 is None else np.asarray(G1, dtype=int)
     G2 = np.eye(L, dtype=int) if G2 is None else np.asarray(G2, dtype=int)
     if np.any(np.triu(G1, 1)) or np.any(np.triu(G2, 1)):
         raise ShapeError("gain matrices must be lower triangular")
     if np.any(np.diag(G1) != 1):
         raise ShapeError("G1 must have ones on the diagonal")
-    y_alpha = [tuple(range(int(G1[i].sum() + G2[i].sum()) + 1)) for i in range(L)]
+    y_alpha = tuple(tuple(range(int(G1[i].sum() + G2[i].sum()) + 1)) for i in range(L))
+    shared = (3, y_alpha)
+    nodes = (NodeSpec(1, ((0, 1),) * L, (SILENT,) * L, feedback=shared),
+             NodeSpec(2, ((0, 1),) * L, (SILENT,) * L, feedback=shared),
+             NodeSpec(3, (SILENT,) * L, y_alpha))
     noise = FiniteDistribution((0,), (1.0,))
 
-    def emit(i, x1_hist, x2_hist, _z):
-        row = i - 1
-        return int((G1[row, :i] * x1_hist).sum() + (G2[row, :i] * x2_hist).sum())
+    def emit(k, i, x_hist, _z):
+        if k != 3:
+            return SILENT[0]
+        x1, x2, _x3 = zip(*x_hist)
+        return int((G1[i - 1, :i] * x1).sum() + (G2[i - 1, :i] * x2).sum())
 
-    return MacFbChannel.from_noise([(0, 1)] * L, [(0, 1)] * L, y_alpha, noise, emit)
+    return BlockChannel.from_noise(nodes, noise, emit)
 
 
 # -- gaussian single link -------------------------------------------------------------

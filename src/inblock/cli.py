@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import catalog
 from .cutset import cutset_region, enumerate_cuts, weakened_bound, WEAKENED_KINDS
 from .errors import InBlockError
@@ -249,7 +247,7 @@ def cmd_enumerate(args) -> RunReport:
     ch, _session = _load_channel(args)
     report = RunReport("enumerate", _digest(args.spec))
     for node in ch.nodes:
-        count = code_function_count(node.inputs, node.outputs)
+        count = code_function_count(node.inputs, node.feedback_alphabets)
         report.add(f"node {node.node} code functions", count, "")
         if args.list and count <= args.cap:
             for j, cf in enumerate(enumerate_code_functions(node, cap=args.cap)):
@@ -330,7 +328,6 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    np.random.seed(args.seed)
     try:
         report = HANDLERS[args.command](args)
     except InBlockError as err:

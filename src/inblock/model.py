@@ -5,9 +5,10 @@ kernels W_i(y_{K,i} | x_K^i, y_K^{i-1}); there is no memory across blocks, so
 one block is stored.  Singleton alphabets mark absent inputs or outputs.
 
 A code function (code tree) for a node maps each feedback history to the next
-channel input; under the in-block model a node's feedback is its own output
-string, but the map machinery is alphabet-generic so shared-output channels
-(full-feedback multiaccess) can reuse it.
+channel input.  A node's feedback is its own output string unless its
+``NodeSpec.feedback`` names another node whose output string it reads; that is
+how shared-output channels, such as the multiaccess channel whose receiver
+output is fed back to every sender, fit the same model, rollout and joint.
 """
 
 from __future__ import annotations
@@ -43,13 +44,18 @@ def sorted_alphabet(alphabet: Iterable) -> tuple:
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """Per-node alphabets (one per block letter) and message index sets."""
+    """Per-node alphabets (one per block letter) and message index sets.
+
+    ``feedback`` is ``(source node, its output alphabets)`` when the node's
+    code trees read another node's output string instead of its own.
+    """
 
     node: int
     inputs: tuple[tuple, ...]
     outputs: tuple[tuple, ...]
     encode: tuple[str, ...] = ()
     decode: tuple[str, ...] = ()
+    feedback: tuple[int, tuple[tuple, ...]] | None = None
 
     def __post_init__(self):
         if len(self.inputs) != len(self.outputs):
@@ -64,6 +70,15 @@ class NodeSpec:
     @property
     def L(self) -> int:
         return len(self.inputs)
+
+    @property
+    def feedback_node(self) -> int:
+        """The node whose output string this node's code trees read."""
+        return self.node if self.feedback is None else self.feedback[0]
+
+    @property
+    def feedback_alphabets(self) -> tuple[tuple, ...]:
+        return self.outputs if self.feedback is None else self.feedback[1]
 
 
 @dataclass(frozen=True)
@@ -180,8 +195,8 @@ def enumerate_maps(inputs: Sequence[tuple], feedbacks: Sequence[tuple], *,
 
 def enumerate_code_functions(node: NodeSpec, *,
                              cap: int = DEFAULT_ENUMERATION_CAP) -> list[CodeFunction]:
-    """All code trees of a node (feedback = its own channel outputs)."""
-    return enumerate_maps(node.inputs, node.outputs, node=node.node, cap=cap)
+    """All code trees of a node over its feedback alphabets."""
+    return enumerate_maps(node.inputs, node.feedback_alphabets, node=node.node, cap=cap)
 
 
 def constant_code_functions(inputs: Sequence[tuple], feedbacks: Sequence[tuple], *,
@@ -223,6 +238,14 @@ class BlockChannel:
             raise ShapeError(f"expected {L} kernels, got {len(kernels)}")
         if any(n.node != k + 1 for k, n in enumerate(nodes)):
             raise ShapeError("nodes must be numbered 1..K in order")
+        for n in nodes:
+            if not 1 <= n.feedback_node <= len(nodes):
+                raise ShapeError(
+                    f"node {n.node}: feedback from unknown node {n.feedback_node}")
+            if n.feedback_alphabets != nodes[n.feedback_node - 1].outputs:
+                raise ShapeError(
+                    f"node {n.node}: feedback alphabets differ from the outputs "
+                    f"of node {n.feedback_node}")
         self.nodes = nodes
         self.L = L
         self.kernels = tuple(dict(k) for k in kernels)
@@ -238,9 +261,6 @@ class BlockChannel:
 
     def output_alphabet(self, k: int, i: int) -> tuple:
         return self.nodes[k - 1].outputs[i - 1]
-
-    def input_combos(self, i: int) -> list[tuple]:
-        return list(itertools.product(*(n.inputs[i - 1] for n in self.nodes)))
 
     def output_combos(self, i: int) -> list[tuple]:
         return list(itertools.product(*(n.outputs[i - 1] for n in self.nodes)))
@@ -341,25 +361,22 @@ class BlockChannel:
 
 # -- rollouts and joint laws ---------------------------------------------------
 
-def _own_history(y_path: tuple, k: int) -> tuple:
-    return tuple(step[k] for step in y_path)
-
-
 def rollout(ch: BlockChannel, cfs: Sequence[CodeFunction]):
     """Yield (y_path, x_path, prob) over output paths with positive probability.
 
-    Inputs are pinned per time by the code functions applied to each node's
-    own output history.
+    Inputs are pinned per time by the code functions applied to the output
+    history of each node's feedback source.
     """
     if len(cfs) != ch.K:
         raise ShapeError(f"need {ch.K} code functions, got {len(cfs)}")
+    readers = tuple((cf, n.feedback_node - 1) for cf, n in zip(cfs, ch.nodes))
 
     def rec(i, x_path, y_path, p):
         if i == ch.L:
             yield y_path, x_path, p
             return
-        x_i = tuple(cfs[k].apply(i + 1, _own_history(y_path, k))
-                    for k in range(ch.K))
+        x_i = tuple(cf.apply(i + 1, tuple(step[src] for step in y_path))
+                    for cf, src in readers)
         x_new = x_path + (x_i,)
         row = ch.kernels[i].get((x_new, y_path))
         if row is None:

@@ -92,7 +92,7 @@ def receiver_code_function(ch: BlockChannel, k: int) -> CodeFunction:
     node = ch.nodes[k - 1]
     if any(len(a) > 1 for a in node.inputs):
         raise ShapeError(f"node {k} has nontrivial inputs")
-    return constant_code_functions(node.inputs, node.outputs, node=k)[0]
+    return constant_code_functions(node.inputs, node.feedback_alphabets, node=k)[0]
 
 
 def output_paths(ch: BlockChannel, nodes: Iterable[int]) -> list[tuple]:
@@ -143,7 +143,7 @@ def maximize_point_to_point(ch: BlockChannel, *, feedback: bool = True,
     if feedback:
         trees = enumerate_code_functions(node, cap=cap)
     else:
-        trees = constant_code_functions(node.inputs, node.outputs, node=1)
+        trees = constant_code_functions(node.inputs, node.feedback_alphabets, node=1)
     W = tuple_channel_matrix(ch, [trees, [receiver_code_function(ch, 2)]], [2])
     value, r, iters, gap = blahut_arimoto(W, tol=tol, max_iter=max_iter)
     return OptimizationResult(
@@ -359,11 +359,13 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
     start = max(candidates, key=lambda c: c[0])[1].copy()
     best_value, best_p = objective(start), start.copy()
     p = start
+    steps = 0
     for t in range(1, iterations + 1):
         g = objective.supergradient(p)
         scale = np.abs(g).max()
         if scale <= tol:
             break
+        steps = t
         p = project_to_simplex(p + (step_scale / sqrt(t)) * g / scale)
         value = objective(p)
         if value > best_value:
@@ -389,7 +391,7 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
     return OptimizationResult(
         value=value / ch.L,
         distribution=p.reshape(objective.sizes),
-        iterations=iterations, gap=gap / ch.L if upper is not None else gap,
+        iterations=steps, gap=gap / ch.L if upper is not None else gap,
         method=method,
         meta={"cuts": cuts, "upper_bound": upper, "grid_value": grid_value,
               "spaces": tuple(tuple(s) for s in spaces)})
@@ -490,7 +492,7 @@ def support_reduction(ch: BlockChannel, bound: int, *,
     require_point_to_point(ch)
     node = ch.nodes[0]
     trees = (enumerate_code_functions(node, cap=cap) if feedback
-             else constant_code_functions(node.inputs, node.outputs, node=1))
+             else constant_code_functions(node.inputs, node.feedback_alphabets, node=1))
     W = tuple_channel_matrix(ch, [trees, [receiver_code_function(ch, 2)]], [2])
 
     def inner(matrix):

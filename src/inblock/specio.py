@@ -231,6 +231,9 @@ def parse_spec(path: str | Path):
 
 def channel_to_spec(ch: BlockChannel, session: NetworkSession | None = None) -> dict:
     """Serialize a channel (and session) in the kernel form; labels become strings."""
+    if any(n.feedback is not None for n in ch.nodes):
+        raise ShapeError("spec nodes read their own outputs; "
+                         "a node with another feedback source cannot be written")
     doc = {
         "K": ch.K,
         "L": ch.L,

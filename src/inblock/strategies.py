@@ -20,14 +20,12 @@ from .model import (
     BlockChannel,
     CodeFunction,
     CodeFunctionDistribution,
-    enumerate_maps,
+    enumerate_code_functions,
     joint_distribution,
-    rollout,
     sorted_alphabet,
 )
 from .probability import (
     PROB_TOL,
-    FiniteDistribution,
     JointBlockDistribution,
     Variable,
     directed_information,
@@ -277,140 +275,6 @@ def qf_rate(ch: BlockChannel, pa: CodeFunctionDistribution | None,
 
 # -- multiaccess with common feedback --------------------------------------------
 
-class MacFbChannel:
-    """Two senders, one receiver, and a single output string fed back to all.
-
-    Kernels map ((x1 history, x2 history, y history)) to a row over the next
-    output letter; both senders' code trees branch on the shared output.
-    """
-
-    def __init__(self, x1: Sequence[tuple], x2: Sequence[tuple],
-                 y: Sequence[tuple], kernels: Sequence[dict]):
-        self.x1 = tuple(tuple(a) for a in x1)
-        self.x2 = tuple(tuple(a) for a in x2)
-        self.y = tuple(tuple(a) for a in y)
-        self.L = len(self.y)
-        if len(self.x1) != self.L or len(self.x2) != self.L or len(kernels) != self.L:
-            raise ShapeError("mismatched horizons")
-        self.kernels = tuple(dict(k) for k in kernels)
-        for i, kernel in enumerate(self.kernels, start=1):
-            for key, row in kernel.items():
-                total = sum(row.values())
-                if abs(total - 1.0) > PROB_TOL:
-                    raise InvalidDistributionError(
-                        f"kernel {i}: row for {key!r} sums to {total!r}")
-
-    @classmethod
-    def from_noise(cls, x1, x2, y, noise: FiniteDistribution,
-                   emit: Callable) -> "MacFbChannel":
-        """emit(i, x1_hist, x2_hist, z) -> output letter at time i."""
-        x1 = tuple(tuple(a) for a in x1)
-        x2 = tuple(tuple(a) for a in x2)
-        y = tuple(tuple(a) for a in y)
-        L = len(y)
-        kernels: list[dict] = [dict() for _ in range(L)]
-        for x1_full in itertools.product(*x1):
-            for x2_full in itertools.product(*x2):
-                rows: list[dict] = [dict() for _ in range(L)]
-                for z, pz in noise.items():
-                    if pz <= 0.0:
-                        continue
-                    y_seq = []
-                    for i in range(L):
-                        y_seq.append(emit(i + 1, x1_full[:i + 1], x2_full[:i + 1], z))
-                    for i in range(L):
-                        key = (x1_full[:i + 1], x2_full[:i + 1], tuple(y_seq[:i]))
-                        bucket = rows[i].setdefault(key, {})
-                        bucket[y_seq[i]] = bucket.get(y_seq[i], 0.0) + pz
-                for i in range(L):
-                    for key, bucket in rows[i].items():
-                        if key not in kernels[i]:
-                            total = sum(bucket.values())
-                            kernels[i][key] = {v: p / total for v, p in bucket.items()}
-        return cls(x1, x2, y, kernels)
-
-    def trees(self, sender: int) -> list[CodeFunction]:
-        inputs = self.x1 if sender == 1 else self.x2
-        return enumerate_maps(inputs, self.y, node=sender)
-
-    def v_cardinality_bound(self) -> int:
-        return prod(len(a) for a in self.y) + 2
-
-
-def mac_fb_joint(mac: MacFbChannel, v_probs: Sequence[float],
-                 a1_given_v: Sequence[Sequence[float]],
-                 a2_given_v: Sequence[Sequence[float]]) -> JointBlockDistribution:
-    """Joint over (V, tree components, inputs, outputs) for a common-feedback MAC."""
-    trees1, trees2 = mac.trees(1), mac.trees(2)
-    v_probs = np.asarray(v_probs, dtype=float)
-    a1 = np.asarray(a1_given_v, dtype=float)
-    a2 = np.asarray(a2_given_v, dtype=float)
-    if a1.shape != (len(v_probs), len(trees1)) or a2.shape != (len(v_probs), len(trees2)):
-        raise ShapeError("conditional tree laws have the wrong shape")
-    L = mac.L
-
-    def comp_alphabets(trees):
-        out = []
-        for i in range(1, L + 1):
-            seen: dict = {}
-            for cf in trees:
-                seen.setdefault(cf.component(i), None)
-            out.append(tuple(seen.keys()))
-        return out
-
-    comp1, comp2 = comp_alphabets(trees1), comp_alphabets(trees2)
-    variables = [Variable("V", tuple(range(len(v_probs))), kind="aux")]
-    variables += [Variable(f"A1:{i}", comp1[i - 1], node=1, time=i, kind="code")
-                  for i in range(1, L + 1)]
-    variables += [Variable(f"A2:{i}", comp2[i - 1], node=2, time=i, kind="code")
-                  for i in range(1, L + 1)]
-    variables += [Variable(f"X1:{i}", mac.x1[i - 1], node=1, time=i, kind="input")
-                  for i in range(1, L + 1)]
-    variables += [Variable(f"X2:{i}", mac.x2[i - 1], node=2, time=i, kind="input")
-                  for i in range(1, L + 1)]
-    variables += [Variable(f"Y:{i}", mac.y[i - 1], node=3, time=i, kind="output")
-                  for i in range(1, L + 1)]
-    shape = tuple(len(v.alphabet) for v in variables)
-    table = np.zeros(shape)
-    comp_index1 = [{c: j for j, c in enumerate(comp1[i])} for i in range(L)]
-    comp_index2 = [{c: j for j, c in enumerate(comp2[i])} for i in range(L)]
-    x1_index = [{x: j for j, x in enumerate(mac.x1[i])} for i in range(L)]
-    x2_index = [{x: j for j, x in enumerate(mac.x2[i])} for i in range(L)]
-    y_index = [{y: j for j, y in enumerate(mac.y[i])} for i in range(L)]
-
-    def paths(cf1, cf2):
-        def rec(i, x1_hist, x2_hist, y_hist, p):
-            if i == L:
-                yield x1_hist, x2_hist, y_hist, p
-                return
-            nx1 = x1_hist + (cf1.apply(i + 1, y_hist),)
-            nx2 = x2_hist + (cf2.apply(i + 1, y_hist),)
-            row = mac.kernels[i].get((nx1, nx2, y_hist))
-            if row is None:
-                raise ShapeError(f"kernel {i + 1} missing row for {(nx1, nx2, y_hist)!r}")
-            for y_i, w in row.items():
-                if w > 0.0:
-                    yield from rec(i + 1, nx1, nx2, y_hist + (y_i,), p * w)
-        yield from rec(0, (), (), (), 1.0)
-
-    for v in range(len(v_probs)):
-        for j1, cf1 in enumerate(trees1):
-            for j2, cf2 in enumerate(trees2):
-                w = float(v_probs[v] * a1[v, j1] * a2[v, j2])
-                if w <= 0.0:
-                    continue
-                head = ((v,)
-                        + tuple(comp_index1[i][cf1.component(i + 1)] for i in range(L))
-                        + tuple(comp_index2[i][cf2.component(i + 1)] for i in range(L)))
-                for x1_hist, x2_hist, y_hist, p in paths(cf1, cf2):
-                    idx = (head
-                           + tuple(x1_index[i][x1_hist[i]] for i in range(L))
-                           + tuple(x2_index[i][x2_hist[i]] for i in range(L))
-                           + tuple(y_index[i][y_hist[i]] for i in range(L)))
-                    table[idx] += w * p
-    return JointBlockDistribution(variables, table, meta={"mac": mac, "L": L})
-
-
 @dataclass
 class MacFbRegion:
     bounds: tuple[RateBound, ...]           # from the code-function form
@@ -418,25 +282,36 @@ class MacFbRegion:
     v_cardinality_bound: int
 
 
-def mac_fb_region(mac: MacFbChannel, v_probs, a1_given_v, a2_given_v) -> MacFbRegion:
+def mac_fb_region(ch: BlockChannel, v_probs, a1_given_v, a2_given_v) -> MacFbRegion:
     """The three feedback rate bounds of a common-output MAC at a scheme.
 
-    The scheme factorizes as P(v) P(a1|v) P(a2|v) with both trees driven by
-    the shared output string; the directed-information form of the same region
+    ``ch`` has senders 1 and 2, whose trees read the output of receiver 3
+    (``catalog.binary_adder_mac``).  The scheme factorizes as
+    P(v) P(a1|v) P(a2|v); the directed-information form of the same region
     is evaluated on the same joint for cross-checking.
     """
-    joint = mac_fb_joint(mac, v_probs, a1_given_v, a2_given_v)
-    L = mac.L
+    spaces = [enumerate_code_functions(n) for n in ch.nodes]
+    v_probs = np.asarray(v_probs, dtype=float)
+    a1 = np.asarray(a1_given_v, dtype=float)
+    a2 = np.asarray(a2_given_v, dtype=float)
+    if (a1.shape != (len(v_probs), len(spaces[0]))
+            or a2.shape != (len(v_probs), len(spaces[1]))):
+        raise ShapeError("conditional tree laws have the wrong shape")
+    joint = mixture(
+        Variable("V", tuple(range(len(v_probs))), kind="aux"), v_probs,
+        [joint_distribution(CodeFunctionDistribution.independent(
+            spaces, [a1[v], a2[v], [1.0]]), ch) for v in range(len(v_probs))])
+    L = ch.L
     a1 = list(joint.select(kind="code", nodes=[1]))
     a2 = list(joint.select(kind="code", nodes=[2]))
-    y = list(joint.select(kind="output"))
+    y = list(joint.select(kind="output", nodes=[3]))
     r1 = mutual_information(joint, a1, y, a2 + ["V"]) / L
     r2 = mutual_information(joint, a2, y, a1 + ["V"]) / L
     rsum = mutual_information(joint, a1 + a2, y) / L
 
     x1_blocks = [[f"X1:{i}"] for i in range(1, L + 1)]
     x2_blocks = [[f"X2:{i}"] for i in range(1, L + 1)]
-    y_blocks = [[f"Y:{i}"] for i in range(1, L + 1)]
+    y_blocks = [[f"Y3:{i}"] for i in range(1, L + 1)]
     d1 = directed_information(joint, x1_blocks, y_blocks, x2_blocks, ["V"]) / L
     d2 = directed_information(joint, x2_blocks, y_blocks, x1_blocks, ["V"]) / L
     dsum = directed_information(joint, merge_blocks(x1_blocks, x2_blocks),
@@ -447,9 +322,9 @@ def mac_fb_region(mac: MacFbChannel, v_probs, a1_given_v, a2_given_v) -> MacFbRe
                 RateBound("R2", (0.0, 1.0), v2),
                 RateBound("R1+R2", (1.0, 1.0), vs))
 
-    return MacFbRegion(bounds=bounds(r1, r2, rsum),
-                       directed_bounds=bounds(d1, d2, dsum),
-                       v_cardinality_bound=mac.v_cardinality_bound())
+    return MacFbRegion(
+        bounds=bounds(r1, r2, rsum), directed_bounds=bounds(d1, d2, dsum),
+        v_cardinality_bound=prod(len(a) for a in ch.nodes[2].outputs) + 2)
 
 
 # -- broadcast ---------------------------------------------------------------------
@@ -495,28 +370,21 @@ def bc_marton_region(ch: BlockChannel, aux_probs: Mapping[tuple, float],
     ts = sorted_alphabet({t for t, _u1, _u2 in triples})
     u1s = sorted_alphabet({u1 for _t, u1, _u2 in triples})
     u2s = sorted_alphabet({u2 for _t, _u1, u2 in triples})
-    rx2 = receiver_code_function(ch, 2)
-    rx3 = receiver_code_function(ch, 3)
-    variables = [Variable("T", ts, kind="aux"),
-                 Variable("U1", u1s, kind="aux"),
-                 Variable("U2", u2s, kind="aux")]
-    for k in range(1, 4):
-        for i in range(1, ch.L + 1):
-            variables.append(Variable(f"Y{k}:{i}", ch.output_alphabet(k, i),
-                                      node=k, time=i, kind="output"))
-    shape = tuple(len(v.alphabet) for v in variables)
-    table = np.zeros(shape)
-    for (t, u1, u2), w in aux_probs.items():
-        if w <= 0.0:
-            continue
-        cf = tree_of[(t, u1, u2)]
-        head = (ts.index(t), u1s.index(u1), u2s.index(u2))
-        for y_path, _x, p in rollout(ch, [cf, rx2, rx3]):
-            idx = head + tuple(
-                ch.output_alphabet(k, i + 1).index(y_path[i][k - 1])
-                for k in range(1, 4) for i in range(ch.L))
-            table[idx] += w * p
-    joint = JointBlockDistribution(variables, table)
+    support = [g for g, w in aux_probs.items() if w > 0.0]
+    trees = list(dict.fromkeys(tree_of[g] for g in support))
+    spaces = [trees, [receiver_code_function(ch, 2)], [receiver_code_function(ch, 3)]]
+    stacked = mixture(
+        Variable("TU", tuple(support), kind="aux"), [aux_probs[g] for g in support],
+        [joint_distribution(CodeFunctionDistribution.point_mass(
+            spaces, (trees.index(tree_of[g]), 0, 0)), ch) for g in support])
+    y = list(stacked.select(kind="output"))
+    rows = stacked.marginal(["TU"] + y).table
+    aux = [Variable("T", ts, kind="aux"), Variable("U1", u1s, kind="aux"),
+           Variable("U2", u2s, kind="aux")]
+    table = np.zeros(tuple(len(v.alphabet) for v in aux) + rows.shape[1:])
+    head = [(ts.index(t), u1s.index(u1), u2s.index(u2)) for t, u1, u2 in support]
+    table[tuple(np.array(head).T)] = rows
+    joint = JointBlockDistribution(aux + [stacked.variable(n) for n in y], table)
     y1 = list(joint.select(kind="output", nodes=[2]))
     y2 = list(joint.select(kind="output", nodes=[3]))
     L = ch.L

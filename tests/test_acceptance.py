@@ -195,7 +195,8 @@ def test_criterion_08_region_form_identity():
     start = time.perf_counter()
     rng = np.random.default_rng(8)
     mac = binary_adder_mac(G1=[[1, 0], [1, 1]], G2=[[1, 0], [0, 1]], L=2)
-    n1, n2 = len(mac.trees(1)), len(mac.trees(2))
+    n1, n2 = (len(enumerate_code_functions(mac.nodes[0])),
+              len(enumerate_code_functions(mac.nodes[1])))
     for trial in range(100):
         nv = int(rng.integers(1, 4))
         region = mac_fb_region(

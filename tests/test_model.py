@@ -6,7 +6,8 @@ Claims:
       16 relay trees, |X| codewords at L=1), stay duplicate-free, and respect
       the cap
     - the induced channel reproduces hand rollouts (feedback tree forces
-      Y2=0; state tree 01 spreads the output to {0,2})
+      Y2=0; state tree 01 spreads the output to {0,2}; a tree that reads
+      another node's output echoes it)
     - the block joint normalizes, marginalizes to pa x induced channel, and
       collapses to a point mass for deterministic channels under point pa
     - embeddings keep their silent slots and reduce correctly in degenerate
@@ -33,6 +34,7 @@ from inblock.model import (
     enumerate_maps,
     induced_channel,
     joint_distribution,
+    rollout,
 )
 from inblock.optimize import receiver_code_function
 from inblock.probability import FiniteDistribution
@@ -120,6 +122,31 @@ class TestInducedChannel:
         for y_path, p in law.items():
             out[y_path[1][1]] = out.get(y_path[1][1], 0.0) + p
         assert out == pytest.approx({0: 0.5, 2: 0.5})
+
+    def test_shared_feedback_tree_reads_receiver_output(self):
+        # node 1 has no outputs of its own and echoes node 2's first letter:
+        # X1 = 1, then X2 = Y1; each Y_i = X_i xor Z_i with iid Z_i ~ Bern(eps)
+        eps = 0.2
+        y = ((0, 1), (0, 1))
+        nodes = (NodeSpec(1, y, (SILENT, SILENT), feedback=(2, y)),
+                 NodeSpec(2, (SILENT, SILENT), y))
+        noise = FiniteDistribution(
+            ((0, 0), (0, 1), (1, 0), (1, 1)),
+            ((1 - eps) ** 2, (1 - eps) * eps, eps * (1 - eps), eps ** 2))
+        ch = BlockChannel.from_noise(
+            nodes, noise,
+            lambda k, i, xh, z: xh[i - 1][0] ^ z[i - 1] if k == 2 else SILENT[0])
+        echo = next(t for t in enumerate_code_functions(ch.nodes[0])
+                    if t.tables == ((1,), (0, 1)))
+        got = {}
+        for y_path, x_path, p in rollout(ch, [echo, receiver_code_function(ch, 2)]):
+            assert x_path[1][0] == y_path[0][1]
+            key = (y_path[0][1], y_path[1][1])
+            got[key] = got.get(key, 0.0) + p
+        pz = {0: 1 - eps, 1: eps}
+        want = {(y1, y2): pz[y1 ^ 1] * pz[y1 ^ y2]
+                for y1 in (0, 1) for y2 in (0, 1)}
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_no_feedback_node_single_branch(self, rng):
         ch = random_channel(rng, K=2, L=1)
@@ -327,6 +354,14 @@ class TestValidationErrors:
     def test_node_numbering_checked(self):
         with pytest.raises(ShapeError):
             BlockChannel((NodeSpec(2, ((0,),), ((0,),)),), [{}])
+
+    def test_feedback_source_checked(self):
+        y = ((0, 1),)
+        receiver = NodeSpec(2, (SILENT,), y)
+        for feedback in ((3, y), (2, ((0, 1, 2),))):
+            sender = NodeSpec(1, ((0, 1),), (SILENT,), feedback=feedback)
+            with pytest.raises(ShapeError, match="feedback"):
+                BlockChannel((sender, receiver), [{}])
 
     def test_decode_own_message_rejected(self):
         with pytest.raises(ShapeError):

@@ -211,6 +211,20 @@ class TestMaxMinCuts:
             if res.meta["grid_value"] is not None:
                 assert res.value * ch.L <= res.meta["grid_value"] + 1e-4
 
+    def test_zero_supergradient_reports_steps_taken(self):
+        # outputs ignore the inputs, so every cut value and supergradient is
+        # zero and the ascent stops before its first step
+        nodes = (NodeSpec(1, ((0, 1),), (SILENT,)),
+                 NodeSpec(2, ((0, 1),), ((0, 1),)),
+                 NodeSpec(3, (SILENT,), ((0, 1),)))
+        noise = FiniteDistribution((0, 1), (0.3, 0.7))
+        ch = BlockChannel.from_noise(
+            nodes, noise, lambda k, i, xh, z: z if k in (2, 3) else SILENT[0])
+        session = NetworkSession(3, [Message("w", 1, frozenset({3}))])
+        res = maximize_cutset_minimum(session, ch, iterations=2000)
+        assert res.value == pytest.approx(0.0, abs=1e-12)
+        assert res.iterations < 2000
+
     def test_multi_message_rejected(self):
         from inblock.catalog import two_way_feedback_channel
         ch, session = two_way_feedback_channel(0.2)

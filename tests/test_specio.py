@@ -7,6 +7,7 @@ Claims:
     - the functional form compiles to the same channel as the native builder
     - malformed rows and missing fields raise errors naming the offending spot
     - Gaussian specs round-trip through their writer
+    - the writer refuses a channel whose nodes read another node's output
 """
 
 import json
@@ -15,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inblock.catalog import binary_feedback_channel
+from inblock.catalog import binary_adder_mac, binary_feedback_channel
 from inblock.embeddings import embed_state_channel
-from inblock.errors import SpecFormatError
+from inblock.errors import ShapeError, SpecFormatError
 from inblock.gaussian import GaussianNetwork, gap_certificate
 from inblock.model import BlockChannel
 from inblock.probability import FiniteDistribution
@@ -99,6 +100,10 @@ class TestParsing:
         again, session2 = parse_channel(doc)
         assert again.kernels == ch.kernels
         assert [m.name for m in session2.messages] == ["w"]
+
+    def test_shared_feedback_not_writable(self):
+        with pytest.raises(ShapeError, match="feedback source"):
+            channel_to_spec(binary_adder_mac(L=1))
 
     def test_gaussian_round_trip(self):
         net = GaussianNetwork(K=3, L=2, power=2.0,

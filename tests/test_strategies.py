@@ -13,8 +13,9 @@ Claims:
     - quantize-forward equals the cut minimum on deterministic networks with
       lossless quantizers, its simplified variant never exceeds the full one,
       and every strategy stays below the certified single-cut upper bounds
-    - the common-feedback region's two forms agree on random schemes, and a
-      codeword-only scheme reduces to the classic region
+    - the common-feedback region's two forms agree on random schemes, a
+      codeword-only scheme reduces to the classic region, and the adder with
+      shared feedback matches the cut-set rows of the copied-output spec
     - broadcast: the noise-free region equals the cut-set region and is
       reproduced by the two-auxiliary scheme with U_k = Y_k
     - relay-without-delay: reported value matches the direct two-letter cut
@@ -23,12 +24,13 @@ Claims:
 
 import itertools
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from inblock.catalog import binary_adder_mac, relay_without_delay_example
-from inblock.cutset import cut_mutual_information
+from inblock.cutset import cut_mutual_information, cutset_region
 from inblock.errors import ShapeError
 from inblock.model import (
     SILENT,
@@ -37,10 +39,12 @@ from inblock.model import (
     Message,
     NetworkSession,
     NodeSpec,
+    enumerate_code_functions,
     joint_distribution,
 )
 from inblock.optimize import maximize_cutset_minimum, receiver_code_function
 from inblock.probability import FiniteDistribution
+from inblock.specio import parse_spec
 from inblock.strategies import (
     bc_cutset_region,
     bc_deterministic_region,
@@ -62,6 +66,9 @@ from conftest import (
     random_pa,
     random_relay_channel,
 )
+
+
+SPEC = Path(__file__).resolve().parent.parent / "specs"
 
 
 def relay_session():
@@ -321,7 +328,8 @@ class TestQuantizeForward:
 class TestMacFeedbackRegion:
     def test_two_forms_agree_on_random_schemes(self, rng):
         mac = binary_adder_mac(G1=[[1, 0], [1, 1]], G2=[[1, 0], [0, 1]], L=2)
-        n1, n2 = len(mac.trees(1)), len(mac.trees(2))
+        n1, n2 = (len(enumerate_code_functions(mac.nodes[0])),
+                  len(enumerate_code_functions(mac.nodes[1])))
         for _ in range(10):
             nv = int(rng.integers(1, 4))
             region = mac_fb_region(
@@ -335,7 +343,6 @@ class TestMacFeedbackRegion:
         # constant trees ignore the feedback: the bounds become the classic
         # conditional-information region of the one-letter adder
         mac = binary_adder_mac(L=1)
-        trees1, trees2 = mac.trees(1), mac.trees(2)
         p1 = rng.dirichlet(np.ones(2))
         p2 = rng.dirichlet(np.ones(2))
         region = mac_fb_region(mac, [1.0], [p1], [p2])
@@ -356,6 +363,19 @@ class TestMacFeedbackRegion:
         region = mac_fb_region(mac, [1.0], [[0.5, 0.5]], [[0.5, 0.5]])
         assert region.bounds[2].limit == pytest.approx(1.5, abs=1e-9)
         assert region.v_cardinality_bound == 5
+
+    def test_matches_copied_output_spec(self):
+        # the shared-feedback channel and the spec that copies the sum into
+        # every node's output give the same three bounds at uniform trees
+        region = mac_fb_region(binary_adder_mac(L=1), [1.0], [[0.5, 0.5]], [[0.5, 0.5]])
+        ch, session = parse_spec(SPEC / "adder_mac.json")
+        pa = CodeFunctionDistribution.uniform(channel_spaces(ch))
+        by_cut = {tuple(sorted(r.cut)): r.bits_per_use
+                  for r in cutset_region(session, ch, pa)}
+        got = [b.limit for b in region.bounds]
+        assert got == pytest.approx([1.0, 1.0, 1.5], abs=1e-12)
+        assert got == pytest.approx([by_cut[(1,)], by_cut[(2,)], by_cut[(1, 2)]],
+                                    abs=1e-12)
 
     def test_scheme_shape_validated(self):
         mac = binary_adder_mac(L=1)
