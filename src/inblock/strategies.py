@@ -22,6 +22,7 @@ from .model import (
     CodeFunctionDistribution,
     enumerate_code_functions,
     joint_distribution,
+    rollout,
     sorted_alphabet,
 )
 from .probability import (
@@ -290,6 +291,8 @@ def mac_fb_region(ch: BlockChannel, v_probs, a1_given_v, a2_given_v) -> MacFbReg
     P(v) P(a1|v) P(a2|v); the directed-information form of the same region
     is evaluated on the same joint for cross-checking.
     """
+    if ch.K != 3 or any(len(a) > 1 for a in ch.nodes[2].inputs):
+        raise ShapeError("common-feedback MAC needs senders 1, 2 and a pure receiver 3")
     spaces = [enumerate_code_functions(n) for n in ch.nodes]
     v_probs = np.asarray(v_probs, dtype=float)
     a1 = np.asarray(a1_given_v, dtype=float)
@@ -370,21 +373,28 @@ def bc_marton_region(ch: BlockChannel, aux_probs: Mapping[tuple, float],
     ts = sorted_alphabet({t for t, _u1, _u2 in triples})
     u1s = sorted_alphabet({u1 for _t, u1, _u2 in triples})
     u2s = sorted_alphabet({u2 for _t, _u1, u2 in triples})
-    support = [g for g, w in aux_probs.items() if w > 0.0]
-    trees = list(dict.fromkeys(tree_of[g] for g in support))
-    spaces = [trees, [receiver_code_function(ch, 2)], [receiver_code_function(ch, 3)]]
-    stacked = mixture(
-        Variable("TU", tuple(support), kind="aux"), [aux_probs[g] for g in support],
-        [joint_distribution(CodeFunctionDistribution.point_mass(
-            spaces, (trees.index(tree_of[g]), 0, 0)), ch) for g in support])
-    y = list(stacked.select(kind="output"))
-    rows = stacked.marginal(["TU"] + y).table
-    aux = [Variable("T", ts, kind="aux"), Variable("U1", u1s, kind="aux"),
-           Variable("U2", u2s, kind="aux")]
-    table = np.zeros(tuple(len(v.alphabet) for v in aux) + rows.shape[1:])
-    head = [(ts.index(t), u1s.index(u1), u2s.index(u2)) for t, u1, u2 in support]
-    table[tuple(np.array(head).T)] = rows
-    joint = JointBlockDistribution(aux + [stacked.variable(n) for n in y], table)
+    rx2 = receiver_code_function(ch, 2)
+    rx3 = receiver_code_function(ch, 3)
+    variables = [Variable("T", ts, kind="aux"),
+                 Variable("U1", u1s, kind="aux"),
+                 Variable("U2", u2s, kind="aux")]
+    for k in range(1, 4):
+        for i in range(1, ch.L + 1):
+            variables.append(Variable(f"Y{k}:{i}", ch.output_alphabet(k, i),
+                                      node=k, time=i, kind="output"))
+    shape = tuple(len(v.alphabet) for v in variables)
+    table = np.zeros(shape)
+    for (t, u1, u2), w in aux_probs.items():
+        if w <= 0.0:
+            continue
+        cf = tree_of[(t, u1, u2)]
+        head = (ts.index(t), u1s.index(u1), u2s.index(u2))
+        for y_path, _x, p in rollout(ch, [cf, rx2, rx3]):
+            idx = head + tuple(
+                ch.output_alphabet(k, i + 1).index(y_path[i][k - 1])
+                for k in range(1, 4) for i in range(ch.L))
+            table[idx] += w * p
+    joint = JointBlockDistribution(variables, table)
     y1 = list(joint.select(kind="output", nodes=[2]))
     y2 = list(joint.select(kind="output", nodes=[3]))
     L = ch.L

@@ -17,7 +17,8 @@ Claims:
       codeword-only scheme reduces to the classic region, and the adder with
       shared feedback matches the cut-set rows of the copied-output spec
     - broadcast: the noise-free region equals the cut-set region and is
-      reproduced by the two-auxiliary scheme with U_k = Y_k
+      reproduced by the two-auxiliary scheme with U_k = Y_k; a Marton scheme
+      whose U1 names each of 128 feedback trees gives the cut bound at node 2
     - relay-without-delay: reported value matches the direct two-letter cut
       evaluation, and the search-space accounting matches closed forms
 """
@@ -382,6 +383,20 @@ class TestMacFeedbackRegion:
         with pytest.raises(ShapeError):
             mac_fb_region(mac, [1.0], [[0.5, 0.5, 0.0]], [[0.5, 0.5]])
 
+    def test_channel_shape_validated(self):
+        # two nodes, or a node 3 that transmits, is not a common-feedback MAC
+        noise = FiniteDistribution((0,), (1.0,))
+        two = BlockChannel.from_noise(
+            (NodeSpec(1, ((0, 1),), (SILENT,)), NodeSpec(2, (SILENT,), ((0, 1),))),
+            noise, lambda k, i, xh, z: xh[0][0] if k == 2 else SILENT[0])
+        three = BlockChannel.from_noise(
+            tuple(NodeSpec(k, ((0, 1),), ((0, 1, 2, 3),) if k == 3 else (SILENT,))
+                  for k in (1, 2, 3)),
+            noise, lambda k, i, xh, z: sum(x[0] for x in xh) if k == 3 else SILENT[0])
+        for ch in (two, three):
+            with pytest.raises(ShapeError, match="pure receiver 3"):
+                mac_fb_region(ch, [1.0], [[0.5, 0.5]], [[0.5, 0.5]])
+
 
 class TestBroadcast:
     def deterministic_bc(self):
@@ -449,6 +464,37 @@ class TestBroadcast:
         # down to the time-share term I(T;Y2) = 0
         assert marton[1].limit == pytest.approx(0.0, abs=1e-9)
         assert marton[0].limit >= -1e-12
+
+    def test_marton_over_all_feedback_trees(self, rng):
+        # U1 runs over all 128 trees of a binary sender with binary feedback
+        # at L = 3.  The (T, U1, U2, Y) joint has 128 * 2^9 cells; one that
+        # also kept the code components and inputs of every triple would have
+        # 128 * 128 * 2^3 * 2^9, over the joint-table cell cap.
+        L = 3
+        nodes = (NodeSpec(1, ((0, 1),) * L, ((0, 1),) * L),
+                 NodeSpec(2, (SILENT,) * L, ((0, 1),) * L),
+                 NodeSpec(3, (SILENT,) * L, ((0, 1),) * L))
+        flips = tuple(itertools.product((0, 1), repeat=L))
+        noise = FiniteDistribution(
+            flips, tuple(float(np.prod([0.1 if b else 0.9 for b in z])) for z in flips))
+
+        def emit(k, i, xh, z):
+            x = xh[0][i - 1]
+            return x if k == 3 else x ^ z[i - 1]   # node 1 hears Y2 as feedback
+
+        ch = BlockChannel.from_noise(nodes, noise, emit)
+        spaces = channel_spaces(ch)
+        assert len(spaces[0]) == 128
+        weights = rng.dirichlet(np.ones(len(spaces[0])))
+        aux_probs = {(0, j, 0): float(w) for j, w in enumerate(weights)}
+        tree_of = {(0, j, 0): cf for j, cf in enumerate(spaces[0])}
+        marton = bc_marton_region(ch, aux_probs, tree_of)
+        cut = bc_cutset_region(
+            ch, CodeFunctionDistribution.independent(spaces, [weights, [1.0], [1.0]]))
+        # U1 names the tree, so I(T, U1; Y2) is the cut bound I(A; Y2)
+        assert marton[0].limit == pytest.approx(cut[0].limit, abs=1e-9)
+        assert marton[0].limit > 0.1
+        assert marton[1].limit == pytest.approx(0.0, abs=1e-9)
 
     def test_identical_outputs_sum_equals_single_user(self, rng):
         # both receivers see the same letter: the sum bound collapses
