@@ -139,6 +139,8 @@ def cmd_cutset(args) -> RunReport:
         report.add("max-min cut value", result.value, "bits/use")
         report.metadata.update(method=result.method,
                                optimality_gap=f"{result.gap:.3e}",
+                               termination=result.meta["termination"],
+                               iterations=result.iterations,
                                cuts=len(result.meta["cuts"]))
         return report
     pa = _uniform_pa(ch, args.cap)
@@ -187,7 +189,9 @@ def cmd_relay(args) -> RunReport:
     law = CodeFunctionDistribution(spaces, result.distribution)
     report.add("decode-forward at that law", df_rate(ch, law), "bits/use")
     report.metadata.update(method=result.method,
-                           optimality_gap=f"{result.gap:.3e}")
+                           optimality_gap=f"{result.gap:.3e}",
+                           termination=result.meta["termination"],
+                           iterations=result.iterations)
     return report
 
 

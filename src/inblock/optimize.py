@@ -5,10 +5,13 @@ Point-to-point capacity is alternating minimization on the code-function
 channel P(y^L | a^L) with the standard upper/lower bracket.  Max-min cut
 objectives use projected supergradient ascent on the simplex, seeded with
 exact single-cut optimizers (conditioned alternating minimization per
-complement tuple) and cross-checked against an exhaustive simplex grid on
-small tuple spaces.  Support reduction searches supports up to a cardinality
-budget, exhaustively when feasible and by greedy pruning with restarts
-otherwise.
+complement tuple); every iterate's supergradient rows give an upper bound
+(the Frank-Wolfe duality gap), and the ascent stops once that bound or the
+single-cut one is within tolerance of the best value.  Support reduction
+searches supports up to a cardinality budget, exhaustively when feasible, with
+each candidate's alternating minimization stopped once its upper end cannot
+beat the best value found (branch and bound), and by greedy pruning with
+restarts otherwise.
 """
 
 from __future__ import annotations
@@ -49,12 +52,15 @@ class OptimizationResult:
 # -- alternating minimization on a plain channel matrix ----------------------
 
 def blahut_arimoto(W: np.ndarray, *, tol: float = BA_TOL,
-                   max_iter: int = BA_MAX_ITER) -> tuple[float, np.ndarray, int, float]:
+                   max_iter: int = BA_MAX_ITER,
+                   floor: float = -np.inf) -> tuple[float, np.ndarray, int, float]:
     """Channel capacity of row-stochastic W in bits.
 
     Returns (capacity lower value, maximizing input law, iterations, bracket gap).
     The lower value is within ``tol`` of capacity at termination; iterates are
-    monotone nondecreasing.
+    monotone nondecreasing.  The upper end ``max_j D_j`` bounds capacity at every
+    iterate, so the run also stops once it falls to ``floor`` or below; the
+    bracket returned then has width ``tol`` or more.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] < 1:
@@ -80,7 +86,7 @@ def blahut_arimoto(W: np.ndarray, *, tol: float = BA_TOL,
         if new_lower < lower - 1e-12:
             raise ArithmeticError("alternating-minimization iterate decreased")
         lower = max(lower, new_lower)
-        if upper - new_lower < tol:
+        if upper - new_lower < tol or upper <= floor:
             return lower, r, it, upper - new_lower
         r = r * np.exp2(D)
         r /= r.sum()
@@ -95,27 +101,18 @@ def receiver_code_function(ch: BlockChannel, k: int) -> CodeFunction:
     return constant_code_functions(node.inputs, node.feedback_alphabets, node=k)[0]
 
 
-def output_paths(ch: BlockChannel, nodes: Iterable[int]) -> list[tuple]:
-    """All joint output paths of the given nodes, ((k,i) label per slot)."""
-    nodes = sorted(nodes)
-    slots = [ch.output_alphabet(k, i) for k in nodes for i in range(1, ch.L + 1)]
-    return list(itertools.product(*slots))
-
-
-def collapse_path(y_path: tuple, nodes: Sequence[int]) -> tuple:
-    return tuple(y_path[i][k - 1] for k in sorted(nodes) for i in range(len(y_path)))
-
-
 def tuple_channel_matrix(ch: BlockChannel, spaces: Sequence[Sequence[CodeFunction]],
                          observed: Iterable[int]) -> np.ndarray:
-    """P(observed outputs | code-function tuple), tuples in C order."""
-    observed = sorted(observed)
-    paths = {p: j for j, p in enumerate(output_paths(ch, observed))}
+    """P(observed outputs | code-function tuple), tuples in C order; columns run
+    over the observed nodes' output paths, node-major."""
+    slots = [(i, k - 1) for k in sorted(observed) for i in range(ch.L)]
+    paths = {p: j for j, p in enumerate(itertools.product(
+        *(ch.output_alphabet(k + 1, i + 1) for i, k in slots)))}
     n = prod(len(s) for s in spaces)
     W = np.zeros((n, len(paths)))
     for row, combo in enumerate(itertools.product(*spaces)):
         for y_path, p in induced_channel(ch, combo).items():
-            W[row, paths[collapse_path(y_path, observed)]] += p
+            W[row, paths[tuple(y_path[i][k] for i, k in slots)]] += p
     return W
 
 
@@ -198,7 +195,7 @@ def simplex_grid(dim: int, resolution: int):
 
 class _CutObjective:
     """min (or weighted sum) over cuts of I(A_S ; Y_{S^c} | A_{S^c}),
-    with analytic supergradients."""
+    with the per-tuple divergence rows that are its supergradients."""
 
     def __init__(self, ch: BlockChannel, spaces: Sequence[Sequence[CodeFunction]],
                  cuts: Sequence[frozenset],
@@ -207,62 +204,57 @@ class _CutObjective:
         self.n = prod(self.sizes)
         self.cuts = list(cuts)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
+        # Roll each tuple out once; a cut sums out its own nodes' output slots.
+        full = tuple_channel_matrix(ch, spaces, range(1, ch.K + 1)).reshape(
+            self.n, *(len(ch.output_alphabet(k, i)) for k in range(1, ch.K + 1)
+                      for i in range(1, ch.L + 1)))
         self._per_cut = []
-        tuples = list(itertools.product(*(range(n) for n in self.sizes)))
         for S in self.cuts:
-            Sc = [k for k in range(1, ch.K + 1) if k not in S]
-            W = tuple_channel_matrix(ch, spaces, Sc)
+            hidden = tuple(1 + (k - 1) * ch.L + i for k in S for i in range(ch.L))
+            W = full.sum(axis=hidden).reshape(*self.sizes, -1)
             logW = np.where(W > 0.0, np.log2(np.where(W > 0.0, W, 1.0)), 0.0)
-            group_sizes = [self.sizes[k - 1] for k in Sc]
-            n_groups = prod(group_sizes) if group_sizes else 1
-            gid = np.empty(self.n, dtype=int)
-            for row, idx in enumerate(tuples):
-                g = 0
-                for k in Sc:
-                    g = g * self.sizes[k - 1] + idx[k - 1]
-                gid[row] = g
-            member = np.zeros((n_groups, self.n))
-            member[gid, np.arange(self.n)] = 1.0
-            self._per_cut.append((W, logW, gid, member))
+            axes = tuple(k - 1 for k in S)
+            # A conditioning group without mass takes the average of its rows
+            # as reference, so its rows stay supergradients there too.
+            shared = W.mean(axis=axes, keepdims=True)
+            groups = tuple(1 if a in axes else m for a, m in enumerate(self.sizes))
+            gid = np.broadcast_to(np.arange(prod(groups)).reshape(groups),
+                                  self.sizes).ravel()
+            self._per_cut.append((W, logW, axes, shared, gid))
 
-    def kl_rows(self, p: np.ndarray, cut_index: int) -> np.ndarray:
-        """Per-tuple divergence to its conditional output law (the supergradient)."""
-        W, logW, gid, member = self._per_cut[cut_index]
-        q = member @ p
-        mix = member @ (p[:, None] * W)
-        safe_q = np.where(q > 0.0, q, 1.0)
-        cond = mix / safe_q[:, None]
-        # Empty conditioning groups: any reference law gives a valid supergradient;
-        # use the row itself so the divergence vanishes there.
-        ref = cond[gid]
-        ref = np.where((q[gid] > 0.0)[:, None], ref, W)
-        with np.errstate(divide="ignore"):
-            logref = np.where(W > 0.0, np.log2(np.where(ref > 0.0, ref, 1.0)), 0.0)
-        return ((logW - logref) * W).sum(axis=1)
+    def kl_rows(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per cut and tuple, the divergence of the tuple's output law from its
+        group's law under p, and the entries where that law misses an output
+        of the tuple (+inf; the first array leaves those outputs out).  With
+        them, row i satisfies f_i(q) <= row_i @ q for every law q."""
+        P = p.reshape(*self.sizes, 1)
+        G = np.empty((len(self.cuts), self.n))
+        blind = np.empty((len(self.cuts), self.n), dtype=bool)
+        for i, (W, logW, axes, shared, _gid) in enumerate(self._per_cut):
+            q = P.sum(axis=axes, keepdims=True)
+            mix = (P * W).sum(axis=axes, keepdims=True)
+            ref = np.where(q > 0.0, mix / np.where(q > 0.0, q, 1.0), shared)
+            logref = np.log2(np.where(ref > 0.0, ref, 1.0))
+            G[i] = ((logW - logref) * W).sum(axis=-1).ravel()
+            blind[i] = ((W > 0.0) & (ref <= 0.0)).any(axis=-1).ravel()
+        return G, blind
 
-    def cut_values(self, p: np.ndarray) -> np.ndarray:
-        return np.array([float(p @ self.kl_rows(p, i))
-                         for i in range(len(self.cuts))])
-
-    def __call__(self, p: np.ndarray) -> float:
-        values = self.cut_values(p)
+    def combine(self, values: np.ndarray) -> float:
         if self.weights is not None:
             return float(self.weights @ values)
         return float(values.min())
 
-    def supergradient(self, p: np.ndarray) -> np.ndarray:
+    def supergradient(self, G: np.ndarray, values: np.ndarray) -> np.ndarray:
         if self.weights is not None:
-            g = np.zeros(self.n)
-            for i, w in enumerate(self.weights):
-                if w != 0.0:
-                    g += w * self.kl_rows(p, i)
-            return g
-        values = self.cut_values(p)
-        active = np.nonzero(values <= values.min() + 1e-12)[0]
-        g = np.zeros(self.n)
-        for i in active:
-            g += self.kl_rows(p, i)
-        return g / len(active)
+            return self.weights @ G
+        return G[values <= values.min() + 1e-12].mean(axis=0)
+
+
+def _dual_bound(G: np.ndarray, blind: np.ndarray, duals: np.ndarray) -> float:
+    """min over the cut-weight rows l of max_j (l^T G)_j, each an upper bound on
+    max_q sum_i l_i f_i(q); a blind entry under a weighted cut counts +inf."""
+    H = np.where(blind, np.inf, G)
+    return min(float((l[l > 0.0] @ H[l > 0.0]).max()) for l in duals)
 
 
 def _single_cut_anchors(objective: _CutObjective, *, conditioning_cap: int = 512,
@@ -270,31 +262,31 @@ def _single_cut_anchors(objective: _CutObjective, *, conditioning_cap: int = 512
     """Exact optimizers of each cut alone: best conditioning tuple + inner capacity.
 
     For one cut, max over joint laws of I(A_S;Y|A_{S^c}) is attained by a point
-    mass on the best complement tuple, so these are true single-cut optima;
-    their min (or weighted sum) upper-bounds the composite optimum.
+    mass on the best complement tuple, so the largest BA upper end over those
+    tuples bounds that cut's optimum; their min (or weighted sum) bounds the
+    composite one.  A cut with over ``conditioning_cap`` such tuples is skipped
+    and bounded by +inf.
     """
-    anchors = []
-    per_cut_best = []
-    for i, S in enumerate(objective.cuts):
-        W, _logW, gid, member = objective._per_cut[i]
-        n_groups = member.shape[0]
+    anchors, uppers = [], []
+    for W, _logW, _axes, _shared, gid in objective._per_cut:
+        W, n_groups = W.reshape(objective.n, -1), gid[-1] + 1
         if n_groups > conditioning_cap:
-            return anchors, None
-        best = (-np.inf, None)
+            uppers.append(np.inf)
+            continue
+        best, upper = (-np.inf, None), -np.inf
         for g in range(n_groups):
             rows = np.nonzero(gid == g)[0]
-            value, r, _, _ = blahut_arimoto(W[rows], tol=tol)
+            value, r, _, gap = blahut_arimoto(W[rows], tol=tol)
+            upper = max(upper, value + gap)
             if value > best[0]:
                 p = np.zeros(objective.n)
                 p[rows] = r
                 best = (value, p)
         anchors.append(best[1])
-        per_cut_best.append(best[0])
-    if objective.weights is not None:
-        upper = float(objective.weights @ np.asarray(per_cut_best))
-    else:
-        upper = min(per_cut_best)
-    return anchors, upper
+        uppers.append(upper)
+    if objective.weights is None:
+        return anchors, min(uppers)
+    return anchors, sum(w * u for w, u in zip(objective.weights, uppers) if w > 0.0)
 
 
 def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
@@ -311,14 +303,18 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
     """Maximize min over message-separating cuts of the chosen cut value.
 
     For the exact objective (concave): projected supergradient ascent with
-    c/sqrt(t) steps on the simplex over dependent code-function tuples,
-    seeded by exact single-cut optimizers and checked against an exhaustive
-    simplex grid when the tuple space is tiny.  Multi-message sessions have a
-    region rather than a scalar; pass ``cut_weights`` (a map cut -> weight) to
-    maximize the weighted-sum scalarization instead (also concave; no claim
-    that sweeping weights traces the whole region boundary).  The relaxed
-    kinds use forward-difference ascent with restarts and carry no concavity
-    certificate.
+    c/sqrt(t) steps on the simplex over dependent code-function tuples, seeded
+    by exact single-cut optimizers.  At every iterate the cut rows G satisfy
+    f_i(q) <= G_i @ q for every law q, so max_j (lam^T G)_j bounds the optimum
+    for any cut law lam (the Frank-Wolfe duality gap).  The ascent keeps the
+    least such bound and the single-cut one, and stops once it is within
+    ``tol`` of the best value (``meta["termination"]``: "certified",
+    "zero-supergradient" or "max_iter").  Multi-message sessions have a region
+    rather than a scalar; pass ``cut_weights`` (a map cut -> weight) to
+    maximize the weighted-sum scalarization instead (also concave and bounded
+    with lam = the weights; no claim that sweeping weights traces the whole
+    region boundary).  The relaxed kinds use forward-difference ascent with
+    restarts and a grid on tiny tuple spaces, with no concavity certificate.
     """
     if len(session.messages) > 1 and cut_weights is None:
         raise ShapeError(
@@ -347,53 +343,50 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
             ch, spaces, cuts, kind, seed=seed,
             grid_dim_cap=grid_dim_cap, grid_points_cap=grid_points_cap)
     objective = _CutObjective(ch, spaces, cuts, weights)
-
-    candidates: list[tuple[float, np.ndarray, str]] = []
-    uniform = np.full(objective.n, 1.0 / objective.n)
-    candidates.append((objective(uniform), uniform, "subgradient"))
-
     anchors, upper = _single_cut_anchors(objective, tol=tol)
-    for p in anchors:
-        candidates.append((objective(p), p, "ba"))
+    # Cut weights for the dual bound: the given weights, or a warm-started law
+    # over the cuts together with each single cut.
+    duals = (objective.weights[None, :] if weights is not None
+             else np.vstack([np.full(len(cuts), 1.0 / len(cuts)), np.eye(len(cuts))]))
 
-    start = max(candidates, key=lambda c: c[0])[1].copy()
-    best_value, best_p = objective(start), start.copy()
-    p = start
-    steps = 0
-    for t in range(1, iterations + 1):
-        g = objective.supergradient(p)
+    def at(p):
+        G, blind = objective.kl_rows(p)
+        values = G @ p
+        return objective.combine(values), values, G, blind
+
+    starts = [(p, method, *at(p)) for p, method in
+              [(np.full(objective.n, 1.0 / objective.n), "subgradient"),
+               *((a, "ba") for a in anchors)]]
+    upper = min(upper, *(_dual_bound(G, blind, duals) for *_, G, blind in starts))
+    p, method, best_value, values, G, blind = max(starts, key=lambda e: e[2])
+    best_p, steps, termination = p, 0, "max_iter"
+    while upper - best_value > tol:
+        if steps == iterations:
+            break
+        g = objective.supergradient(G, values)
         scale = np.abs(g).max()
         if scale <= tol:
+            termination = "zero-supergradient"
             break
-        steps = t
-        p = project_to_simplex(p + (step_scale / sqrt(t)) * g / scale)
-        value = objective(p)
+        steps += 1
+        p = project_to_simplex(p + (step_scale / sqrt(steps)) * g / scale)
+        value, values, G, blind = at(p)
         if value > best_value:
-            best_value, best_p = value, p.copy()
-    candidates.append((best_value, best_p, "subgradient"))
-
-    grid_value = None
-    if objective.n <= grid_dim_cap:
-        resolution = 1
-        while (resolution < 400
-               and comb(resolution + objective.n, objective.n - 1) <= grid_points_cap):
-            resolution += 1
-        grid_best = (-np.inf, None)
-        for q in simplex_grid(objective.n, resolution):
-            v = objective(q)
-            if v > grid_best[0]:
-                grid_best = (v, q)
-        grid_value = grid_best[0]
-        candidates.append((grid_best[0], grid_best[1], "grid"))
-
-    value, p, method = max(candidates, key=lambda c: c[0])
-    gap = max(upper - value, 0.0) if upper is not None else float("nan")
+            best_value, best_p, method = value, p, "subgradient"
+        if weights is None:
+            # one exponentiated step on the cut law toward a lower bound
+            lam = duals[0] * np.exp2(-(step_scale / sqrt(steps))
+                                     * G[:, np.argmax(duals[0] @ G)] / scale)
+            duals[0] = lam / lam.sum()
+        upper = min(upper, _dual_bound(G, blind, duals))
+    else:
+        termination = "certified"
     return OptimizationResult(
-        value=value / ch.L,
-        distribution=p.reshape(objective.sizes),
-        iterations=steps, gap=gap / ch.L if upper is not None else gap,
+        value=best_value / ch.L,
+        distribution=best_p.reshape(objective.sizes),
+        iterations=steps, gap=max(upper - best_value, 0.0) / ch.L,
         method=method,
-        meta={"cuts": cuts, "upper_bound": upper, "grid_value": grid_value,
+        meta={"cuts": cuts, "upper_bound": upper, "termination": termination,
               "spaces": tuple(tuple(s) for s in spaces)})
 
 
@@ -484,7 +477,10 @@ def support_reduction(ch: BlockChannel, bound: int, *,
     prunes greedily from the full optimum with randomized restarts.  Always
     returns the best support found together with its optimality gap.  The
     default inner objective is the capacity of the restricted tree-to-output
-    matrix; pass ``objective(W_restricted) -> (value, law)`` to certify a
+    matrix; on the exhaustive path a candidate's alternating minimization stops
+    once its upper end falls to the best value found, which leaves the result
+    unchanged (``result.meta`` counts the ``candidates`` and the ``pruned``
+    ones).  Pass ``objective(W_restricted) -> (value, law)`` to certify a
     different concave functional on the same support lattice.
     """
     if bound < 1:
@@ -495,9 +491,9 @@ def support_reduction(ch: BlockChannel, bound: int, *,
              else constant_code_functions(node.inputs, node.feedback_alphabets, node=1))
     W = tuple_channel_matrix(ch, [trees, [receiver_code_function(ch, 2)]], [2])
 
-    def inner(matrix):
+    def inner(matrix, floor=-np.inf):
         if objective is None:
-            value, r, iters, gap = blahut_arimoto(matrix)
+            value, r, iters, gap = blahut_arimoto(matrix, floor=floor)
         else:
             value, r = objective(matrix)
             iters, gap = 0, 0.0
@@ -506,13 +502,13 @@ def support_reduction(ch: BlockChannel, bound: int, *,
     full_value, full_r, _, _ = inner(W)
     size = min(bound, len(trees))
 
-    def solve(support: tuple[int, ...]):
-        return inner(W[list(support)])
-
     best = (-np.inf, (), None)
+    candidates = pruned = 0
     if comb(len(trees), size) <= exhaustive_cap:
         for support in itertools.combinations(range(len(trees)), size):
-            value, r, iters, gap = solve(support)
+            value, r, iters, gap = inner(W[list(support)], floor=best[0])
+            candidates += 1
+            pruned += gap >= BA_TOL
             if value > best[0]:
                 best = (value, support, (r, iters, gap))
                 if full_value - value <= 1e-9:
@@ -529,7 +525,8 @@ def support_reduction(ch: BlockChannel, bound: int, *,
                 keep.remove(drop)
                 _, mass, _, _ = inner(W[keep])
             support = tuple(keep)
-            value, r, iters, gap = solve(support)
+            value, r, iters, gap = inner(W[list(support)])
+            candidates += 1
             if value > best[0]:
                 best = (value, support, (r, iters, gap))
 
@@ -537,7 +534,8 @@ def support_reduction(ch: BlockChannel, bound: int, *,
     active = tuple(i for i, w in zip(support, r) if w > 1e-9)
     result = OptimizationResult(
         value=value / ch.L, distribution=r, iterations=iters, gap=gap / ch.L,
-        method="ba", meta={"support": support, "trees": tuple(trees[i] for i in support)})
+        method="ba", meta={"support": support, "trees": tuple(trees[i] for i in support),
+                           "candidates": candidates, "pruned": pruned})
     reached = full_value - value
     return SupportReduction(
         support=active, trees=tuple(trees[i] for i in active), result=result,

@@ -78,11 +78,6 @@ class FiniteDistribution:
         labels = tuple(labels) if labels is not None else (label,)
         return cls(labels, tuple(1.0 if x == label else 0.0 for x in labels))
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "FiniteDistribution":
-        pairs = list(pairs)
-        return cls(tuple(k for k, _ in pairs), tuple(float(v) for _, v in pairs))
-
     def prob(self, label) -> float:
         return float(self.probs[self.support.index(label)])
 

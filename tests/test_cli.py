@@ -4,6 +4,7 @@ Claims:
     - every subcommand runs against the shipped specs with exit code 0
     - values in the reports match the library calls that produced them
     - --format json emits valid machine-readable JSON, csv emits flat rows
+    - the max-min commands say why the optimizer stopped, in text and json
     - reruns with the same seed reproduce the report verbatim
     - bad inputs exit nonzero with a message on stderr
 """
@@ -93,6 +94,16 @@ class TestFormats:
         doc = json.loads(out)
         values = {r["name"]: r["value"] for r in doc["results"]}
         assert values["capacity"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_optimizer_reports_why_it_stopped(self, capsys):
+        for argv in (("cutset", "--optimize"), ("relay",)):
+            code, out, _ = run(capsys, *argv, "--spec", SPEC / "causal_relay.json")
+            assert code == 0 and "termination: certified" in out
+            code, out, _ = run(capsys, *argv, "--spec", SPEC / "causal_relay.json",
+                               "--format", "json")
+            meta = json.loads(out)["metadata"]
+            assert meta["termination"] == "certified"
+            assert meta["iterations"] == 0
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "gaussian-gap", "--spec",

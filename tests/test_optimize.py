@@ -2,25 +2,36 @@
 
 Claims:
     - alternating minimization reproduces closed-form capacities, keeps its
-      iterates monotone, and its reported value re-evaluates at the returned
-      law within 1e-7
+      iterates monotone, its reported value re-evaluates at the returned law
+      within 1e-7, and a floor above capacity stops it with a valid bracket
     - point-to-point: feedback capacity 1 bit/use on the noise-revealing
       channel, (2 - H2(e))/2 without feedback, 1 bit for a clean binary letter
     - max-min over cuts: agrees with the single-cut solver on point-to-point
       sessions, returns 0 on the causal-relay counterexample, matches the
-      per-tree maximization on a reversely degraded relay, never beats its
-      own grid cross-check by more than 1e-4, rejects multi-message sessions
-    - support reduction certifies the documented two- and four-tree optima and
-      never exceeds the full optimum
+      per-tree maximization on a reversely degraded relay, never beats a
+      test-side simplex grid by more than 1e-4, rejects multi-message sessions
+    - every divergence row bounds its cut at every law, also at laws with
+      empty conditioning groups; the reported bracket [value, value + gap] is
+      finite and holds the grid optimum, also without single-cut anchors; the
+      result says why the ascent stopped
+    - support reduction certifies the documented two- and four-tree optima,
+      never exceeds the full optimum, and its branch and bound returns the
+      support and value of an unpruned exhaustive search
     - the cardinality budget evaluates to 3 / 4 / 2 on the worked channels
     - exhaustive grids honor caps and tie-break deterministically
 """
 
+import itertools
 from collections import defaultdict
-from math import log2
+from functools import partial
+from math import comb, log2
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from inblock import optimize
 
 from inblock.catalog import (
     binary_feedback_channel,
@@ -39,6 +50,7 @@ from inblock.model import (
     NodeSpec,
 )
 from inblock.optimize import (
+    _CutObjective,
     blahut_arimoto,
     grid_maximize,
     maximize_cutset_minimum,
@@ -51,7 +63,7 @@ from inblock.optimize import (
 )
 from inblock.probability import FiniteDistribution, binary_entropy
 
-from conftest import channel_spaces, random_channel, random_relay_channel
+from conftest import channel_spaces, random_channel, random_pa, random_relay_channel
 
 
 def mutual_information_of(r, W):
@@ -62,6 +74,63 @@ def mutual_information_of(r, W):
             if r[x] > 0 and W[x, y] > 0:
                 total += r[x] * W[x, y] * log2(W[x, y] / out[y])
     return total
+
+
+def relay_session():
+    return NetworkSession(3, [Message("w", 1, frozenset({3}))])
+
+
+def sparse_law(rng, n, keep):
+    """A random law on n tuples with each entry kept with probability keep;
+    small keep leaves whole conditioning groups without mass."""
+    p = rng.dirichlet(np.ones(n)) * (rng.random(n) < keep)
+    if p.sum() == 0.0:
+        p[rng.integers(n)] = 1.0
+    return p / p.sum()
+
+
+def grid_cut_values(ch, cuts, Q):
+    """Each cut's I(A_S ; Y_{S^c} | A_{S^c}) in bits per block at every law in
+    Q (points x tuples), as H(Y|A_{S^c}) - H(Y|A) from tuple_channel_matrix."""
+    spaces = channel_spaces(ch)
+    sizes = tuple(len(s) for s in spaces)
+    Q = Q.reshape(-1, *sizes, 1)
+    xlogx = lambda a: np.where(a > 0.0, a * np.log2(np.where(a > 0.0, a, 1.0)), 0.0)
+    out = []
+    for S in cuts:
+        Sc = [k for k in range(1, ch.K + 1) if k not in S]
+        W = tuple_channel_matrix(ch, spaces, Sc).reshape(*sizes, -1)
+        mix = (Q * W).sum(axis=tuple(S), keepdims=True)
+        mass = Q.sum(axis=tuple(S), keepdims=True)
+        inner = (Q * xlogx(W)).reshape(len(Q), -1).sum(axis=1)
+        outer = (xlogx(mix) - mix * np.log2(np.where(mass > 0.0, mass, 1.0)))
+        out.append(inner - outer.reshape(len(Q), -1).sum(axis=1))
+    return np.array(out)
+
+
+def grid_optimum(ch, cuts, points_cap=10_000):
+    """max over the finest simplex grid within points_cap of the min cut value,
+    bits per use."""
+    n = int(np.prod([len(s) for s in channel_spaces(ch)]))
+    resolution = 1
+    while resolution < 400 and comb(resolution + n, n - 1) <= points_cap:
+        resolution += 1
+    Q = np.array(list(simplex_grid(n, resolution)))
+    return grid_cut_values(ch, cuts, Q).min(axis=0).max() / ch.L
+
+
+def unpruned_support_search(W, size):
+    """The exhaustive support search in the library's order with its stopping
+    rule, every candidate's BA run to convergence."""
+    full_value = blahut_arimoto(W)[0]
+    best = (-np.inf, ())
+    for support in itertools.combinations(range(W.shape[0]), size):
+        value = blahut_arimoto(W[list(support)])[0]
+        if value > best[0]:
+            best = (value, support)
+            if full_value - value <= 1e-9:
+                break
+    return best
 
 
 class TestBlahutArimoto:
@@ -90,6 +159,15 @@ class TestBlahutArimoto:
         for _ in range(50):
             W = rng.dirichlet(np.ones(3) * 0.5, size=6)
             blahut_arimoto(W)
+
+    def test_floor_stops_with_a_bracket_above_capacity(self, rng):
+        for _ in range(10):
+            W = rng.dirichlet(np.ones(3), size=4)
+            capacity, _, full_iters, _ = blahut_arimoto(W)
+            value, _, iters, gap = blahut_arimoto(W, floor=capacity + 1e-3)
+            assert iters <= full_iters
+            assert value <= capacity + 1e-12 <= value + gap + 2e-12
+            assert blahut_arimoto(W, floor=capacity - 1e-3)[0] == capacity
 
     def test_degenerate_shapes(self):
         value, r, _, _ = blahut_arimoto(np.array([[0.25, 0.75]]))
@@ -208,8 +286,74 @@ class TestMaxMinCuts:
             ch = random_channel(rng, K=2, L=1, max_tuples=6)
             session = NetworkSession(2, [Message("w", 1, frozenset({2}))])
             res = maximize_cutset_minimum(session, ch)
-            if res.meta["grid_value"] is not None:
-                assert res.value * ch.L <= res.meta["grid_value"] + 1e-4
+            grid_best = grid_optimum(ch, res.meta["cuts"])
+            assert res.value <= grid_best + 1e-4
+            assert grid_best <= res.value + res.gap + 1e-12
+
+    def test_grid_cut_values_match_the_joint(self, rng):
+        # the test-side evaluator agrees with cut_mutual_information
+        from inblock.cutset import cut_mutual_information
+        from inblock.model import joint_distribution
+        ch = random_relay_channel(rng)
+        cuts = [frozenset({1}), frozenset({1, 2})]
+        pa = random_pa(rng, channel_spaces(ch))
+        joint = joint_distribution(pa, ch)
+        got = grid_cut_values(ch, cuts, pa.probs.reshape(1, -1))[:, 0]
+        want = [cut_mutual_information(joint, S) * ch.L for S in cuts]
+        assert got == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), keep=st.floats(0.0, 1.0),
+           deterministic=st.booleans())
+    def test_rows_bound_every_law(self, seed, keep, deterministic):
+        # f_i(q) <= g_i(p) @ q for all laws, also when p leaves whole
+        # conditioning groups (or, on a deterministic channel, outputs) empty
+        rng = np.random.default_rng(seed)
+        ch = (causal_relay_counterexample()[0] if deterministic
+              else random_relay_channel(rng, L=int(rng.integers(1, 3))))
+        cuts = [frozenset({1}), frozenset({1, 2})]
+        objective = _CutObjective(ch, channel_spaces(ch), cuts)
+        p = sparse_law(rng, objective.n, keep)
+        q = sparse_law(rng, objective.n, float(rng.random()))
+        G, blind = objective.kl_rows(p)
+        rows = np.where(blind, np.inf, G)
+        at_q = grid_cut_values(ch, cuts, q[None, :])[:, 0]
+        at_p = grid_cut_values(ch, cuts, p[None, :])[:, 0]
+        for i in range(len(cuts)):
+            assert at_q[i] <= rows[i][q > 0.0] @ q[q > 0.0] + 1e-9
+            assert rows[i][p > 0.0] @ p[p > 0.0] == pytest.approx(at_p[i], abs=1e-9)
+
+    def test_bracket_holds_on_small_relays(self, rng, monkeypatch):
+        # [value, value + gap] is finite and holds the grid optimum, also when
+        # the single-cut anchors are capped away
+        from inblock.cutset import cut_mutual_information
+        from inblock.model import joint_distribution
+        relays = [random_relay_channel(rng) for _ in range(3)]
+        for capped in (False, True):
+            if capped:
+                monkeypatch.setattr(optimize, "_single_cut_anchors", partial(
+                    optimize._single_cut_anchors, conditioning_cap=1))
+            for ch in relays:
+                res = maximize_cutset_minimum(relay_session(), ch)
+                assert np.isfinite(res.gap) and np.isfinite(res.meta["upper_bound"])
+                grid_best = grid_optimum(ch, res.meta["cuts"])
+                assert grid_best <= res.value + res.gap + 1e-12
+                pa = CodeFunctionDistribution(res.meta["spaces"], res.distribution)
+                joint = joint_distribution(pa, ch)
+                replay = min(cut_mutual_information(joint, S) for S in res.meta["cuts"])
+                assert replay == pytest.approx(res.value, abs=1e-9)
+
+    def test_termination_reported(self, rng):
+        ch = state_addition_channel()
+        session = NetworkSession(2, [Message("w", 1, frozenset({2}))])
+        res = maximize_cutset_minimum(session, ch)
+        assert res.meta["termination"] == "certified"
+        assert res.gap <= 1e-9 / ch.L
+        # a relay whose optimum mixes the cuts is not certified in five steps
+        ch = random_relay_channel(np.random.default_rng(1), x1=3, x2=3, y2=3, y3=3)
+        res = maximize_cutset_minimum(relay_session(), ch, iterations=5)
+        assert res.meta["termination"] == "max_iter"
+        assert res.iterations == 5 and res.gap > 1e-9
 
     def test_zero_supergradient_reports_steps_taken(self):
         # outputs ignore the inputs, so every cut value and supergradient is
@@ -312,6 +456,26 @@ class TestSupportReduction:
             sr = support_reduction(ch, 2)
             assert sr.result.value <= sr.full_value + 1e-9
             assert sr.gap >= -1e-9
+
+    def test_branch_and_bound_matches_unpruned_search(self, rng):
+        channels = [rewrite_channel(0.1), rewrite_channel(0.3), state_addition_channel()]
+        while len(channels) < 7:
+            # pure receivers that see enough outputs to need more than two trees
+            ch = random_channel(rng, K=2, max_trees=16)
+            if (all(len(a) == 1 for a in ch.nodes[1].inputs)
+                    and np.prod([len(a) for a in ch.nodes[1].outputs]) >= 3
+                    and len(channel_spaces(ch)[0]) >= 3):
+                channels.append(ch)
+        for ch in channels:
+            trees, rx = channel_spaces(ch)
+            W = tuple_channel_matrix(ch, [trees, rx], [2])
+            value, support = unpruned_support_search(W, min(2, len(trees)))
+            sr = support_reduction(ch, 2)
+            assert sr.result.meta["support"] == support
+            assert abs(sr.result.value - value / ch.L) <= 1e-12
+        # the rewrite search drops most candidates before their BA converges
+        rewrite = support_reduction(rewrite_channel(0.1), 2).result.meta
+        assert 0 < rewrite["pruned"] < rewrite["candidates"]
 
     def test_greedy_path_matches_exhaustive_here(self):
         ch = state_addition_channel()
