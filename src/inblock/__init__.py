@@ -37,7 +37,6 @@ from .model import (
     enumerate_maps,
     induced_channel,
     joint_distribution,
-    rollout,
 )
 from .embeddings import (
     embed_action_channel,

@@ -9,15 +9,24 @@ channel input.  A node's feedback is its own output string unless its
 ``NodeSpec.feedback`` names another node whose output string it reads; that is
 how shared-output channels, such as the multiaccess channel whose receiver
 output is fed back to every sender, fit the same model, rollout and joint.
+
+Every rollout runs on one array engine, ``roll_tuples``, which moves a chunk
+of tree tuples through the block as a frontier of arrays.  At each time every
+node's input is gathered from its tree table (per time, distinct components x
+feedback histories) at its feedback source's output string so far; kernel rows
+are found by ``searchsorted`` in int64 history keys compiled once per channel,
+and each path expands over its row's positive entries.  Callers scatter the
+paths into their tables with ``np.bincount``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -262,20 +271,24 @@ class BlockChannel:
     def output_alphabet(self, k: int, i: int) -> tuple:
         return self.nodes[k - 1].outputs[i - 1]
 
-    def output_combos(self, i: int) -> list[tuple]:
-        return list(itertools.product(*(n.outputs[i - 1] for n in self.nodes)))
-
     def _validate(self):
+        x_combos = [set(itertools.product(*(n.inputs[i] for n in self.nodes)))
+                    for i in range(self.L)]
+        y_combos = [set(itertools.product(*(n.outputs[i] for n in self.nodes)))
+                    for i in range(self.L)]
         for i, kernel in enumerate(self.kernels, start=1):
-            combos = set(self.output_combos(i))
             for (x_hist, y_hist), row in kernel.items():
                 if len(x_hist) != i or len(y_hist) != i - 1:
                     raise ShapeError(
                         f"kernel {i}: history ({len(x_hist)}, {len(y_hist)}) "
                         f"has the wrong depth")
+                if (any(x not in c for x, c in zip(x_hist, x_combos))
+                        or any(y not in c for y, c in zip(y_hist, y_combos))):
+                    raise ShapeError(
+                        f"kernel {i}: history {(x_hist, y_hist)!r} not in alphabets")
                 total = 0.0
                 for y, p in row.items():
-                    if y not in combos:
+                    if y not in y_combos[i - 1]:
                         raise ShapeError(f"kernel {i}: output {y!r} not in alphabets")
                     if p < -PROB_TOL:
                         raise InvalidDistributionError(f"kernel {i}: negative weight")
@@ -283,6 +296,39 @@ class BlockChannel:
                 if abs(total - 1.0) > PROB_TOL:
                     raise InvalidDistributionError(
                         f"kernel {i}: row for {(x_hist, y_hist)!r} sums to {total!r}")
+
+    @cached_property
+    def _compiled(self) -> tuple:
+        """Per time, the kernel as sorted int64 keys of its row histories (each
+        node's input string, then each node's output string) and, in key order,
+        the rows' positive entries in dict order (row starts, per-node output
+        indices, weights)."""
+        x_index = [[{a: j for j, a in enumerate(alpha)} for alpha in n.inputs]
+                   for n in self.nodes]
+        y_index = [[{a: j for j, a in enumerate(alpha)} for alpha in n.outputs]
+                   for n in self.nodes]
+        if prod(len(a) for n in self.nodes for a in n.inputs + n.outputs) >= 2 ** 63:
+            raise SizeError("kernel histories do not fit 64-bit keys")
+        rows = []
+        for i, kernel in enumerate(self.kernels):
+            x_slots = [(k, t) for k in range(self.K) for t in range(i + 1)]
+            y_slots = [(k, t) for k in range(self.K) for t in range(i)]
+            radix = ([len(x_index[k][t]) for k, t in x_slots]
+                     + [len(y_index[k][t]) for k, t in y_slots])
+            keyed = []
+            for (x_hist, y_hist), row in kernel.items():
+                key = np.ravel_multi_index(
+                    [x_index[k][t][x_hist[t][k]] for k, t in x_slots]
+                    + [y_index[k][t][y_hist[t][k]] for k, t in y_slots], radix)
+                keyed.append((key, [([y_index[k][i][a] for k, a in enumerate(y)], w)
+                                    for y, w in row.items() if w > 0.0]))
+            keyed.sort(key=lambda kv: kv[0])
+            entries = [e for _key, row in keyed for e in row]
+            rows.append((np.array([key for key, _row in keyed], dtype=np.int64),
+                         np.cumsum([0] + [len(row) for _key, row in keyed]),
+                         np.array([y for y, _w in entries], dtype=np.intp).reshape(-1, self.K),
+                         np.array([w for _y, w in entries], dtype=float)))
+        return tuple(rows)
 
     def is_deterministic(self, tol: float = PROB_TOL) -> bool:
         return all(max(row.values()) >= 1.0 - tol
@@ -361,32 +407,109 @@ class BlockChannel:
 
 # -- rollouts and joint laws ---------------------------------------------------
 
-def rollout(ch: BlockChannel, cfs: Sequence[CodeFunction]):
-    """Yield (y_path, x_path, prob) over output paths with positive probability.
+ROLLOUT_CHUNK = 512  # tree tuples rolled together; bounds the engine's arrays
 
-    Inputs are pinned per time by the code functions applied to the output
-    history of each node's feedback source.
+
+class TreeLevel(NamedTuple):
+    """One node's space of code trees at one time."""
+
+    index: np.ndarray   # every tree's component
+    components: tuple   # the distinct components, in order of first appearance
+    table: np.ndarray   # their inputs as alphabet indices, components x histories
+
+
+def tree_tables(ch: BlockChannel,
+                spaces: Sequence[Sequence[CodeFunction]]) -> list[list[TreeLevel]]:
+    """Each node's space of code trees as one small table per time."""
+    if len(spaces) != ch.K:
+        raise ShapeError(f"need {ch.K} code-function spaces, got {len(spaces)}")
+    out = []
+    for node, space in zip(ch.nodes, spaces):
+        inputs, feedbacks = node.inputs, node.feedback_alphabets
+        if any(cf.inputs != inputs or cf.feedbacks != feedbacks for cf in space):
+            raise ShapeError(f"node {node.node}: code functions over other alphabets "
+                             "than the node's inputs and feedback")
+        levels = [cf.tables for cf in space]
+        per_time = []
+        for i, alphabet in enumerate(inputs):
+            column = list(map(itemgetter(i), levels))
+            components = {c: j for j, c in enumerate(dict.fromkeys(column))}
+            index = np.fromiter(map(components.__getitem__, column), dtype=np.int32,
+                                count=len(column))
+            letter = {x: j for j, x in enumerate(alphabet)}
+            table = np.array([[letter[x] for x in c] for c in components], dtype=np.int32)
+            n_hist = prod(len(a) for a in feedbacks[:i])
+            per_time.append(TreeLevel(index, tuple(components), table.reshape(-1, n_hist)))
+        out.append(per_time)
+    return out
+
+
+def roll_tuples(ch: BlockChannel, trees: list, tuples: np.ndarray):
+    """Roll tree tuples through the block together, ``ROLLOUT_CHUNK`` at a time.
+
+    ``tuples`` holds flat C-order indices into the product of the spaces
+    behind ``trees``.  Per chunk this yields ``(chunk, owner, xs, ys, prob)``
+    over the paths with positive probability, depth-first through each tuple's
+    kernel rows: the path's tuple as a position in ``chunk``, per node its
+    input and output strings as lexicographic indices, and its probability.
     """
-    if len(cfs) != ch.K:
-        raise ShapeError(f"need {ch.K} code functions, got {len(cfs)}")
-    readers = tuple((cf, n.feedback_node - 1) for cf, n in zip(cfs, ch.nodes))
+    rows = ch._compiled
+    K = ch.K
+    sizes = [len(per_time[0].index) for per_time in trees]
+    readers = [(k, n.feedback_node - 1) for k, n in enumerate(ch.nodes)
+               if any(len(a) > 1 for a in n.inputs)]
+    for lo in range(0, len(tuples), ROLLOUT_CHUNK):
+        chunk = tuples[lo:lo + ROLLOUT_CHUNK]
+        tree = np.unravel_index(chunk, sizes)
+        owner = np.arange(len(chunk))
+        prob = np.ones(len(chunk))
+        xs = [np.zeros(len(chunk), dtype=np.int64) for _ in range(K)]
+        ys = [np.zeros(len(chunk), dtype=np.int64) for _ in range(K)]
+        for i, (keys, starts, codes, weights) in enumerate(rows):
+            for k, src in readers:
+                level = trees[k][i]
+                xs[k] = (xs[k] * len(ch.nodes[k].inputs[i])
+                         + level.table[level.index[tree[k][owner]], ys[src]])
+            key = np.ravel_multi_index(
+                xs + ys, [prod(map(len, n.inputs[:i + 1])) for n in ch.nodes]
+                + [prod(map(len, n.outputs[:i])) for n in ch.nodes])
+            pos = np.searchsorted(keys, key)
+            hit = pos < len(keys)
+            hit[hit] = keys[pos[hit]] == key[hit]
+            if not hit.all():
+                j = np.flatnonzero(~hit)[0]
+                history = (_spell(ch, [c[j] for c in xs], "inputs", i + 1),
+                           _spell(ch, [c[j] for c in ys], "outputs", i))
+                raise ShapeError(f"kernel {i + 1} has no row for history {history!r}")
+            first, count = starts[pos], starts[pos + 1] - starts[pos]
+            step = np.repeat(np.arange(len(pos)), count)
+            entry = np.arange(len(step)) + np.repeat(first - np.cumsum(count) + count, count)
+            owner, prob = owner[step], prob[step] * weights[entry]
+            letters = codes[entry]
+            for k, node in enumerate(ch.nodes):
+                xs[k] = xs[k][step]
+                ys[k] = ys[k][step] * len(node.outputs[i]) + letters[:, k]
+        yield chunk, owner, xs, ys, prob
 
-    def rec(i, x_path, y_path, p):
-        if i == ch.L:
-            yield y_path, x_path, p
-            return
-        x_i = tuple(cf.apply(i + 1, tuple(step[src] for step in y_path))
-                    for cf, src in readers)
-        x_new = x_path + (x_i,)
-        row = ch.kernels[i].get((x_new, y_path))
-        if row is None:
-            raise ShapeError(
-                f"kernel {i + 1} has no row for history {(x_new, y_path)!r}")
-        for y_i, w in row.items():
-            if w > 0.0:
-                yield from rec(i + 1, x_new, y_path + (y_i,), p * w)
 
-    yield from rec(0, (), (), 1.0)
+def _spell(ch: BlockChannel, codes: Sequence[int], side: str, depth: int) -> tuple:
+    """Per-node ``side`` ("inputs" or "outputs") strings over the first
+    ``depth`` times, given as lexicographic indices, as a path in labels."""
+    alphabets = [getattr(n, side)[:depth] for n in ch.nodes]
+    digits = [np.unravel_index(c, [len(a) for a in alpha]) for c, alpha in zip(codes, alphabets)]
+    return tuple(tuple(alpha[t][d[t]] for alpha, d in zip(alphabets, digits))
+                 for t in range(depth))
+
+
+def rollout(ch: BlockChannel, cfs: Sequence[CodeFunction]):
+    """Yield (y_path, x_path, prob) over output paths with positive probability
+    under one code function per node: ``roll_tuples`` on a single tuple, with
+    the paths spelled in labels."""
+    trees = tree_tables(ch, [[cf] for cf in cfs])
+    for _chunk, _owner, xs, ys, prob in roll_tuples(ch, trees, np.zeros(1, dtype=np.intp)):
+        for j, p in enumerate(prob.tolist()):
+            yield (_spell(ch, [c[j] for c in ys], "outputs", ch.L),
+                   _spell(ch, [c[j] for c in xs], "inputs", ch.L), p)
 
 
 def induced_channel(ch: BlockChannel, cfs: Sequence[CodeFunction]) -> dict:
@@ -455,17 +578,6 @@ class CodeFunctionDistribution:
             self.spaces, lam * self.probs + (1.0 - lam) * other.probs)
 
 
-def _component_alphabets(space: Sequence[CodeFunction], L: int) -> list[tuple]:
-    """Per-time component alphabets, ordered by first appearance in the space."""
-    out = []
-    for i in range(1, L + 1):
-        seen: dict = {}
-        for cf in space:
-            seen.setdefault(cf.component(i), None)
-        out.append(tuple(seen.keys()))
-    return out
-
-
 def joint_distribution(pa: CodeFunctionDistribution, ch: BlockChannel, *,
                        max_cells: int = 10_000_000) -> JointBlockDistribution:
     """The block joint over code functions, inputs, and outputs.
@@ -477,11 +589,11 @@ def joint_distribution(pa: CodeFunctionDistribution, ch: BlockChannel, *,
     if pa.K != ch.K:
         raise ShapeError("code-function distribution and channel disagree on K")
     K, L = ch.K, ch.L
-    comp_alpha = [_component_alphabets(pa.spaces[k], L) for k in range(K)]
+    trees = tree_tables(ch, pa.spaces)
     variables: list[Variable] = []
     for k in range(K):
         for i in range(1, L + 1):
-            variables.append(Variable(f"A{k + 1}:{i}", comp_alpha[k][i - 1],
+            variables.append(Variable(f"A{k + 1}:{i}", trees[k][i - 1].components,
                                       node=k + 1, time=i, kind="code"))
     for k in range(K):
         for i in range(1, L + 1):
@@ -495,26 +607,16 @@ def joint_distribution(pa: CodeFunctionDistribution, ch: BlockChannel, *,
     cells = prod(shape)
     if cells > max_cells:
         raise SizeError(f"joint would need {cells} cells (cap {max_cells})")
-    comp_index = [[{c: j for j, c in enumerate(comp_alpha[k][i])}
-                   for i in range(L)] for k in range(K)]
-    x_index = [[{x: j for j, x in enumerate(ch.input_alphabet(k + 1, i + 1))}
-                for i in range(L)] for k in range(K)]
-    y_index = [[{y: j for j, y in enumerate(ch.output_alphabet(k + 1, i + 1))}
-                for i in range(L)] for k in range(K)]
-
-    table = np.zeros(shape)
-    for tuple_idx in itertools.product(*(range(len(s)) for s in pa.spaces)):
-        w = float(pa.probs[tuple_idx])
-        if w <= 0.0:
-            continue
-        cfs = [pa.spaces[k][tuple_idx[k]] for k in range(K)]
-        a_part = tuple(comp_index[k][i][cfs[k].component(i + 1)]
-                       for k in range(K) for i in range(L))
-        for y_path, x_path, p in rollout(ch, cfs):
-            x_part = tuple(x_index[k][i][x_path[i][k]]
-                           for k in range(K) for i in range(L))
-            y_part = tuple(y_index[k][i][y_path[i][k]]
-                           for k in range(K) for i in range(L))
-            table[a_part + x_part + y_part] += w * p
-    return JointBlockDistribution(variables, table,
+    # a node's X (or Y) variables are its input (output) string, time-minor
+    radix = (list(shape[:K * L]) + [prod(map(len, n.inputs)) for n in ch.nodes]
+             + [prod(map(len, n.outputs)) for n in ch.nodes])
+    weights = pa.probs.ravel()
+    table = np.zeros(cells)
+    for chunk, owner, xs, ys, prob in roll_tuples(ch, trees, np.flatnonzero(weights > 0.0)):
+        tuple_index = chunk[owner]
+        tree = np.unravel_index(tuple_index, [len(s) for s in pa.spaces])
+        components = [trees[k][i].index[tree[k]] for k in range(K) for i in range(L)]
+        table += np.bincount(np.ravel_multi_index(components + xs + ys, radix),
+                             weights[tuple_index] * prob, minlength=cells)
+    return JointBlockDistribution(variables, table.reshape(shape),
                                   meta={"channel": ch, "pa": pa, "L": L})

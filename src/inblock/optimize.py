@@ -32,7 +32,8 @@ from .model import (
     NetworkSession,
     constant_code_functions,
     enumerate_code_functions,
-    induced_channel,
+    roll_tuples,
+    tree_tables,
 )
 
 BA_TOL = 1e-9
@@ -105,14 +106,15 @@ def tuple_channel_matrix(ch: BlockChannel, spaces: Sequence[Sequence[CodeFunctio
                          observed: Iterable[int]) -> np.ndarray:
     """P(observed outputs | code-function tuple), tuples in C order; columns run
     over the observed nodes' output paths, node-major."""
-    slots = [(i, k - 1) for k in sorted(observed) for i in range(ch.L)]
-    paths = {p: j for j, p in enumerate(itertools.product(
-        *(ch.output_alphabet(k + 1, i + 1) for i, k in slots)))}
+    nodes = [ch.nodes[k - 1] for k in sorted(observed)]
+    radix = [prod(map(len, n.outputs)) for n in nodes]
+    width = prod(radix)
     n = prod(len(s) for s in spaces)
-    W = np.zeros((n, len(paths)))
-    for row, combo in enumerate(itertools.product(*spaces)):
-        for y_path, p in induced_channel(ch, combo).items():
-            W[row, paths[tuple(y_path[i][k] for i, k in slots)]] += p
+    W = np.zeros((n, width))
+    for chunk, owner, _xs, ys, prob in roll_tuples(ch, tree_tables(ch, spaces), np.arange(n)):
+        col = np.ravel_multi_index([ys[node.node - 1] for node in nodes], radix)
+        W[chunk[0]:chunk[0] + len(chunk)] = np.bincount(
+            owner * width + col, prob, minlength=len(chunk) * width).reshape(-1, width)
     return W
 
 

@@ -22,8 +22,9 @@ from .model import (
     CodeFunctionDistribution,
     enumerate_code_functions,
     joint_distribution,
-    rollout,
+    roll_tuples,
     sorted_alphabet,
+    tree_tables,
 )
 from .probability import (
     PROB_TOL,
@@ -383,17 +384,18 @@ def bc_marton_region(ch: BlockChannel, aux_probs: Mapping[tuple, float],
             variables.append(Variable(f"Y{k}:{i}", ch.output_alphabet(k, i),
                                       node=k, time=i, kind="output"))
     shape = tuple(len(v.alphabet) for v in variables)
-    table = np.zeros(shape)
-    for (t, u1, u2), w in aux_probs.items():
-        if w <= 0.0:
-            continue
-        cf = tree_of[(t, u1, u2)]
-        head = (ts.index(t), u1s.index(u1), u2s.index(u2))
-        for y_path, _x, p in rollout(ch, [cf, rx2, rx3]):
-            idx = head + tuple(
-                ch.output_alphabet(k, i + 1).index(y_path[i][k - 1])
-                for k in range(1, 4) for i in range(ch.L))
-            table[idx] += w * p
+    live = [(triple, w) for triple, w in aux_probs.items() if w > 0.0]
+    heads = np.array([np.ravel_multi_index((ts.index(t), u1s.index(u1), u2s.index(u2)),
+                                           shape[:3]) for (t, u1, u2), _w in live])
+    weights = np.array([w for _triple, w in live], dtype=float)
+    trees = tree_tables(ch, [[tree_of[triple] for triple, _w in live], [rx2], [rx3]])
+    radix = [prod(shape[:3])] + [prod(map(len, n.outputs)) for n in ch.nodes]
+    table = np.zeros(prod(shape))
+    for chunk, owner, _xs, ys, prob in roll_tuples(ch, trees, np.arange(len(live))):
+        triple = chunk[owner]
+        table += np.bincount(np.ravel_multi_index([heads[triple]] + ys, radix),
+                             weights[triple] * prob, minlength=table.size)
+    table = table.reshape(shape)
     joint = JointBlockDistribution(variables, table)
     y1 = list(joint.select(kind="output", nodes=[2]))
     y2 = list(joint.select(kind="output", nodes=[3]))

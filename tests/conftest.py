@@ -95,6 +95,56 @@ def channel_spaces(ch: BlockChannel):
 
 # -- brute-force oracles ---------------------------------------------------------
 
+def bf_rollout(ch: BlockChannel, cfs):
+    """Yield (y_path, x_path, prob) over output paths with positive probability,
+    by recursion through the kernel dicts; each code function reads the output
+    history of its node's feedback source."""
+    readers = tuple((cf, n.feedback_node - 1) for cf, n in zip(cfs, ch.nodes))
+
+    def rec(i, x_path, y_path, p):
+        if i == ch.L:
+            yield y_path, x_path, p
+            return
+        x_i = tuple(cf.apply(i + 1, tuple(step[src] for step in y_path))
+                    for cf, src in readers)
+        x_new = x_path + (x_i,)
+        for y_i, w in ch.kernels[i][(x_new, y_path)].items():
+            if w > 0.0:
+                yield from rec(i + 1, x_new, y_path + (y_i,), p * w)
+
+    yield from rec(0, (), (), 1.0)
+
+
+def bf_tuple_channel_matrix(ch: BlockChannel, spaces, observed):
+    """Rows over tuples in C order, columns over the observed nodes' output
+    paths, node-major, summed path by path."""
+    slots = [(i, k - 1) for k in sorted(observed) for i in range(ch.L)]
+    cols = {p: j for j, p in enumerate(itertools.product(
+        *(ch.output_alphabet(k + 1, i + 1) for i, k in slots)))}
+    W = np.zeros((prod(len(s) for s in spaces), len(cols)))
+    for row, cfs in enumerate(itertools.product(*spaces)):
+        for y_path, _x, p in bf_rollout(ch, cfs):
+            W[row, cols[tuple(y_path[i][k] for i, k in slots)]] += p
+    return W
+
+
+def bf_joint_cells(pa: CodeFunctionDistribution, ch: BlockChannel) -> dict:
+    """The block joint as a dict in the layout of ``cells_of``: tree
+    components, then inputs, then outputs, each node-major."""
+    cells = defaultdict(float)
+    for idx in itertools.product(*(range(len(s)) for s in pa.spaces)):
+        w = float(pa.probs[idx])
+        if w <= 0.0:
+            continue
+        cfs = [space[j] for space, j in zip(pa.spaces, idx)]
+        a_part = tuple(cf.component(i + 1) for cf in cfs for i in range(ch.L))
+        for y_path, x_path, p in bf_rollout(ch, cfs):
+            cells[a_part
+                  + tuple(x_path[i][k] for k in range(ch.K) for i in range(ch.L))
+                  + tuple(y_path[i][k] for k in range(ch.K) for i in range(ch.L))] += w * p
+    return dict(cells)
+
+
 def cells_of(joint):
     """The joint table as a dict: full assignment tuple -> probability."""
     return {tuple(joint.variables[i].alphabet[j] for i, j in enumerate(idx)): p

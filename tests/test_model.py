@@ -10,16 +10,30 @@ Claims:
       another node's output echoes it)
     - the block joint normalizes, marginalizes to pa x induced channel, and
       collapses to a point mass for deterministic channels under point pa
+    - the array rollout engine's joint, tree-to-output matrix and induced
+      channel match the dictionary-loop rollout to 1e-12 on random channels,
+      random relays, the shared-feedback adder MAC and every block spec, and
+      its chunk size never changes a table
+    - code trees over other alphabets than their node's, kernel histories
+      outside the alphabets and missing reachable kernel rows raise
+      ShapeError naming the node, the history or the kernel time
     - embeddings keep their silent slots and reduce correctly in degenerate
       cases (constant state, single fading state, L=1 fading)
 """
 
 import itertools
+import re
+from collections import defaultdict
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from inblock import model
+from inblock.catalog import binary_adder_mac
 from inblock.embeddings import embed_action_channel, embed_block_fading, embed_state_channel
 from inblock.errors import ShapeError, SizeError
 from inblock.model import (
@@ -34,12 +48,21 @@ from inblock.model import (
     enumerate_maps,
     induced_channel,
     joint_distribution,
-    rollout,
 )
-from inblock.optimize import receiver_code_function
+from inblock.optimize import receiver_code_function, tuple_channel_matrix
 from inblock.probability import FiniteDistribution
+from inblock.specio import parse_spec
 
-from conftest import channel_spaces, random_channel, random_pa
+from conftest import (
+    bf_joint_cells,
+    bf_rollout,
+    bf_tuple_channel_matrix,
+    cells_of,
+    channel_spaces,
+    random_channel,
+    random_pa,
+    random_relay_channel,
+)
 from inblock.catalog import (
     binary_feedback_channel,
     relay_without_delay_example,
@@ -139,7 +162,7 @@ class TestInducedChannel:
         echo = next(t for t in enumerate_code_functions(ch.nodes[0])
                     if t.tables == ((1,), (0, 1)))
         got = {}
-        for y_path, x_path, p in rollout(ch, [echo, receiver_code_function(ch, 2)]):
+        for y_path, x_path, p in bf_rollout(ch, [echo, receiver_code_function(ch, 2)]):
             assert x_path[1][0] == y_path[0][1]
             key = (y_path[0][1], y_path[1][1])
             got[key] = got.get(key, 0.0) + p
@@ -207,6 +230,63 @@ class TestJointDistribution:
         pa = random_pa(rng, channel_spaces(ch))
         with pytest.raises(SizeError):
             joint_distribution(pa, ch, max_cells=4)
+
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+BLOCK_SPECS = tuple(p.name for p in sorted(SPEC_DIR.glob("*.json"))
+                    if isinstance(parse_spec(p), tuple))
+
+
+def engine_case(case, rng):
+    if case == "random":
+        return random_channel(rng)
+    if case == "relay":
+        L = int(rng.integers(1, 3))
+        x1, x2, y2, y3 = (int(a) for a in rng.integers(2, 5 - L, size=4))
+        return random_relay_channel(rng, L=L, x1=x1, x2=x2, y2=y2, y3=y3)
+    if case == "adder_mac":
+        return binary_adder_mac(L=int(rng.integers(1, 3)))
+    return parse_spec(SPEC_DIR / case)[0]
+
+
+class TestRolloutEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(("random", "relay", "adder_mac") + BLOCK_SPECS),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dictionary_rollout(self, case, seed):
+        rng = np.random.default_rng(seed)
+        ch = engine_case(case, rng)
+        spaces = channel_spaces(ch)
+        pa = random_pa(rng, spaces, dependent=bool(rng.integers(2)))
+        got, want = cells_of(joint_distribution(pa, ch)), bf_joint_cells(pa, ch)
+        assert got.keys() == want.keys()
+        assert max(abs(got[c] - want[c]) for c in want) <= 1e-12
+        observed = [k for k in range(1, ch.K + 1) if rng.random() < 0.5] or [ch.K]
+        W = tuple_channel_matrix(ch, spaces, observed)
+        W_bf = bf_tuple_channel_matrix(ch, spaces, observed)
+        assert W.shape == W_bf.shape
+        assert np.abs(W - W_bf).max() <= 1e-12
+        cfs = [space[rng.integers(len(space))] for space in spaces]
+        law, law_bf = induced_channel(ch, cfs), defaultdict(float)
+        for y_path, _x, p in bf_rollout(ch, cfs):
+            law_bf[y_path] += p
+        assert law.keys() == law_bf.keys()
+        assert max(abs(law[y] - law_bf[y]) for y in law) <= 1e-12
+
+    def test_chunks_do_not_change_tables(self, rng, monkeypatch):
+        # a tuple's paths never straddle chunks, and each table sums its
+        # paths in the same order whatever the chunk size
+        for _ in range(4):
+            ch = random_channel(rng)
+            spaces = channel_spaces(ch)
+            pa = random_pa(rng, spaces)
+            whole = (tuple_channel_matrix(ch, spaces, range(1, ch.K + 1)),
+                     joint_distribution(pa, ch).table)
+            monkeypatch.setattr(model, "ROLLOUT_CHUNK", 3)
+            chunked = (tuple_channel_matrix(ch, spaces, range(1, ch.K + 1)),
+                       joint_distribution(pa, ch).table)
+            monkeypatch.undo()
+            assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 
 class TestCodeFunctionDistribution:
@@ -362,6 +442,41 @@ class TestValidationErrors:
             sender = NodeSpec(1, ((0, 1),), (SILENT,), feedback=feedback)
             with pytest.raises(ShapeError, match="feedback"):
                 BlockChannel((sender, receiver), [{}])
+
+    def test_kernel_history_labels_checked(self):
+        nodes = (NodeSpec(1, ((0, 1),), (SILENT,)),
+                 NodeSpec(2, (SILENT,), ((0, 1),)))
+        kernel = {(((x, 0),), ()): {(0, 0): 1.0} for x in (0, 2)}
+        with pytest.raises(ShapeError, match="history .* not in alphabets"):
+            BlockChannel(nodes, [kernel])
+
+    def test_tree_alphabets_checked(self):
+        ch = binary_feedback_channel(0.1)
+        tx = ch.nodes[0]
+        rx = receiver_code_function(ch, 2)
+        ternary = ((0, 1, 2),) * 2
+        for bad in (enumerate_maps(tx.inputs, ternary, node=1),
+                    enumerate_maps(ternary, tx.feedback_alphabets, node=1)):
+            pa = CodeFunctionDistribution.uniform([bad, [rx]])
+            calls = (lambda: induced_channel(ch, [bad[-1], rx]),
+                     lambda: tuple_channel_matrix(ch, [bad, [rx]], [2]),
+                     lambda: joint_distribution(pa, ch))
+            for call in calls:
+                with pytest.raises(ShapeError, match="node 1: code functions over"):
+                    call()
+
+    def test_missing_kernel_row_named(self):
+        ch = binary_feedback_channel(0.1)
+        kernels = [dict(k) for k in ch.kernels]
+        history = (((1, 0), (0, 0)), ((1, 1),))
+        del kernels[1][history]
+        broken = BlockChannel(ch.nodes, kernels)
+        spaces = channel_spaces(broken)
+        message = re.escape(f"kernel 2 has no row for history {history!r}")
+        with pytest.raises(ShapeError, match=message):
+            tuple_channel_matrix(broken, spaces, [2])
+        with pytest.raises(ShapeError, match=message):
+            joint_distribution(CodeFunctionDistribution.uniform(spaces), broken)
 
     def test_decode_own_message_rejected(self):
         with pytest.raises(ShapeError):

@@ -5,7 +5,9 @@ Claims:
       iterates monotone, its reported value re-evaluates at the returned law
       within 1e-7, and a floor above capacity stops it with a valid bracket
     - point-to-point: feedback capacity 1 bit/use on the noise-revealing
-      channel, (2 - H2(e))/2 without feedback, 1 bit for a clean binary letter
+      channel, (2 - H2(e))/2 without feedback, 1 bit for a clean binary letter;
+      on the four-letter feedback BSC 1 - H2(e) with and without feedback,
+      inside the BA bracket
     - max-min over cuts: agrees with the single-cut solver on point-to-point
       sessions, returns 0 on the causal-relay counterexample, matches the
       per-tree maximization on a reversely degraded relay, never beats a
@@ -24,7 +26,7 @@ Claims:
 import itertools
 from collections import defaultdict
 from functools import partial
-from math import comb, log2
+from math import comb, log2, prod
 
 import numpy as np
 import pytest
@@ -74,6 +76,19 @@ def mutual_information_of(r, W):
             if r[x] > 0 and W[x, y] > 0:
                 total += r[x] * W[x, y] * log2(W[x, y] / out[y])
     return total
+
+
+def feedback_bsc(L, eps):
+    """The BSC used L times, every output fed back to the transmitter."""
+    bits = (0, 1)
+    nodes = (NodeSpec(1, (bits,) * L, (bits,) * L),
+             NodeSpec(2, (SILENT,) * L, (bits,) * L))
+    noise = FiniteDistribution(
+        tuple(itertools.product(bits, repeat=L)),
+        tuple(prod(eps if z else 1.0 - eps for z in zs)
+              for zs in itertools.product(bits, repeat=L)))
+    return BlockChannel.from_noise(nodes, noise,
+                                   lambda k, i, xh, z: xh[i - 1][0] ^ z[i - 1])
 
 
 def relay_session():
@@ -185,6 +200,16 @@ class TestPointToPoint:
             assert maximize_point_to_point(ch).value == pytest.approx(1.0, abs=1e-6)
             got = maximize_point_to_point(ch, feedback=False).value
             assert got == pytest.approx((2 - binary_entropy(eps)) / 2, abs=1e-6)
+
+    def test_feedback_bsc_four_letters(self):
+        # 32,768 code trees; feedback does not raise the capacity 1 - h(eps)
+        eps = 0.11
+        target = 1 - binary_entropy(eps)
+        ch = feedback_bsc(4, eps)
+        for feedback in (True, False):
+            res = maximize_point_to_point(ch, feedback=feedback)
+            assert res.value == pytest.approx(target, abs=1e-6)
+            assert res.value - 1e-12 <= target <= res.value + res.gap + 1e-12
 
     def test_state_channel(self):
         ch = state_addition_channel()

@@ -63,6 +63,7 @@ from inblock.strategies import (
 
 from conftest import (
     bf_mutual_information,
+    bf_rollout,
     channel_spaces,
     random_pa,
     random_relay_channel,
@@ -432,12 +433,11 @@ class TestBroadcast:
         rx2, rx3 = receiver_code_function(ch, 2), receiver_code_function(ch, 3)
         aux_probs = {}
         tree_of = {}
-        from inblock.model import rollout
         for j, cf in enumerate(spaces[0]):
             w = float(pa.marginal(1)[j])
             if w <= 0:
                 continue
-            ((y_path, _x, _p),) = list(rollout(ch, [cf, rx2, rx3]))
+            ((y_path, _x, _p),) = list(bf_rollout(ch, [cf, rx2, rx3]))
             u1 = tuple(step[1] for step in y_path)
             u2 = tuple(step[2] for step in y_path)
             key = (0, u1, u2)
