@@ -16,7 +16,9 @@ node's input is gathered from its tree table (per time, distinct components x
 feedback histories) at its feedback source's output string so far; kernel rows
 are found by ``searchsorted`` in int64 history keys compiled once per channel,
 and each path expands over its row's positive entries.  Callers scatter the
-paths into their tables with ``np.bincount``.
+paths into their tables with ``np.bincount``; ``joint_paths`` gives each path
+its cell in the block joint, for ``joint_distribution`` and for the relaxed
+max-min's per-tuple marginals.
 """
 
 from __future__ import annotations
@@ -578,6 +580,44 @@ class CodeFunctionDistribution:
             self.spaces, lam * self.probs + (1.0 - lam) * other.probs)
 
 
+def joint_variables(ch: BlockChannel, trees: list, *,
+                    max_cells: int = 10_000_000) -> list[Variable]:
+    """The block joint's variables over the tree tables ``trees``: every
+    node's code components, then inputs, then outputs, one per time.  Raises
+    ``SizeError`` when their table would need over ``max_cells`` cells."""
+    variables: list[Variable] = []
+    for k, per_time in enumerate(trees):
+        for i, level in enumerate(per_time, start=1):
+            variables.append(Variable(f"A{k + 1}:{i}", level.components,
+                                      node=k + 1, time=i, kind="code"))
+    for letter, side, kind in (("X", "inputs", "input"), ("Y", "outputs", "output")):
+        for node in ch.nodes:
+            for i, alphabet in enumerate(getattr(node, side), start=1):
+                variables.append(Variable(f"{letter}{node.node}:{i}", alphabet,
+                                          node=node.node, time=i, kind=kind))
+    cells = prod(len(v.alphabet) for v in variables)
+    if cells > max_cells:
+        raise SizeError(f"joint would need {cells} cells (cap {max_cells})")
+    return variables
+
+
+def joint_paths(ch: BlockChannel, trees: list, tuples: np.ndarray):
+    """``roll_tuples`` with each path placed in the block joint: per chunk,
+    every path's tuple (a flat index, as in ``tuples``), its flat cell in the
+    C-order table over ``joint_variables(ch, trees)``, and its probability."""
+    # a node's X (or Y) variables are its input (output) string, time-minor
+    radix = ([len(level.components) for per_time in trees for level in per_time]
+             + [prod(map(len, n.inputs)) for n in ch.nodes]
+             + [prod(map(len, n.outputs)) for n in ch.nodes])
+    sizes = [len(per_time[0].index) for per_time in trees]
+    for chunk, owner, xs, ys, prob in roll_tuples(ch, trees, tuples):
+        tuple_index = chunk[owner]
+        tree = np.unravel_index(tuple_index, sizes)
+        components = [level.index[tree[k]] for k, per_time in enumerate(trees)
+                      for level in per_time]
+        yield tuple_index, np.ravel_multi_index(components + xs + ys, radix), prob
+
+
 def joint_distribution(pa: CodeFunctionDistribution, ch: BlockChannel, *,
                        max_cells: int = 10_000_000) -> JointBlockDistribution:
     """The block joint over code functions, inputs, and outputs.
@@ -588,35 +628,12 @@ def joint_distribution(pa: CodeFunctionDistribution, ch: BlockChannel, *,
     """
     if pa.K != ch.K:
         raise ShapeError("code-function distribution and channel disagree on K")
-    K, L = ch.K, ch.L
     trees = tree_tables(ch, pa.spaces)
-    variables: list[Variable] = []
-    for k in range(K):
-        for i in range(1, L + 1):
-            variables.append(Variable(f"A{k + 1}:{i}", trees[k][i - 1].components,
-                                      node=k + 1, time=i, kind="code"))
-    for k in range(K):
-        for i in range(1, L + 1):
-            variables.append(Variable(f"X{k + 1}:{i}", ch.input_alphabet(k + 1, i),
-                                      node=k + 1, time=i, kind="input"))
-    for k in range(K):
-        for i in range(1, L + 1):
-            variables.append(Variable(f"Y{k + 1}:{i}", ch.output_alphabet(k + 1, i),
-                                      node=k + 1, time=i, kind="output"))
+    variables = joint_variables(ch, trees, max_cells=max_cells)
     shape = tuple(len(v.alphabet) for v in variables)
-    cells = prod(shape)
-    if cells > max_cells:
-        raise SizeError(f"joint would need {cells} cells (cap {max_cells})")
-    # a node's X (or Y) variables are its input (output) string, time-minor
-    radix = (list(shape[:K * L]) + [prod(map(len, n.inputs)) for n in ch.nodes]
-             + [prod(map(len, n.outputs)) for n in ch.nodes])
     weights = pa.probs.ravel()
-    table = np.zeros(cells)
-    for chunk, owner, xs, ys, prob in roll_tuples(ch, trees, np.flatnonzero(weights > 0.0)):
-        tuple_index = chunk[owner]
-        tree = np.unravel_index(tuple_index, [len(s) for s in pa.spaces])
-        components = [trees[k][i].index[tree[k]] for k in range(K) for i in range(L)]
-        table += np.bincount(np.ravel_multi_index(components + xs + ys, radix),
-                             weights[tuple_index] * prob, minlength=cells)
+    table = np.zeros(prod(shape))
+    for tuple_index, cell, prob in joint_paths(ch, trees, np.flatnonzero(weights > 0.0)):
+        table += np.bincount(cell, weights[tuple_index] * prob, minlength=table.size)
     return JointBlockDistribution(variables, table.reshape(shape),
-                                  meta={"channel": ch, "pa": pa, "L": L})
+                                  meta={"channel": ch, "pa": pa, "L": ch.L})

@@ -7,7 +7,9 @@ objectives use projected supergradient ascent on the simplex, seeded with
 exact single-cut optimizers (conditioned alternating minimization per
 complement tuple); every iterate's supergradient rows give an upper bound
 (the Frank-Wolfe duality gap), and the ascent stops once that bound or the
-single-cut one is within tolerance of the best value.  Support reduction
+single-cut one is within tolerance of the best value.  The relaxed max-min
+rolls every tuple out once and scores its laws in batches, each entropy one
+product of the laws with a tuple-to-marginal map.  Support reduction
 searches supports up to a cardinality budget, exhaustively when feasible, with
 each candidate's alternating minimization stopped once its upper end cannot
 beat the best value found (branch and bound), and by greedy pruning with
@@ -23,18 +25,22 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SizeError
+from .cutset import EXACT, WEAKENED_KINDS, enumerate_cuts, weakened_bound
+from .errors import InvalidDistributionError, ShapeError, SizeError
 from .model import (
     DEFAULT_ENUMERATION_CAP,
+    ROLLOUT_CHUNK,
     BlockChannel,
     CodeFunction,
-    CodeFunctionDistribution,
     NetworkSession,
     constant_code_functions,
     enumerate_code_functions,
+    joint_paths,
+    joint_variables,
     roll_tuples,
     tree_tables,
 )
+from .probability import MAX_CELLS, PROB_TOL, JointBlockDistribution
 
 BA_TOL = 1e-9
 BA_MAX_ITER = 100_000
@@ -315,15 +321,23 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
     rather than a scalar; pass ``cut_weights`` (a map cut -> weight) to
     maximize the weighted-sum scalarization instead (also concave and bounded
     with lam = the weights; no claim that sweeping weights traces the whole
-    region boundary).  The relaxed kinds use forward-difference ascent with
-    restarts and a grid on tiny tuple spaces, with no concavity certificate.
+    region boundary).  The relaxed kinds (``cutset.WEAKENED_KINDS``) use
+    forward-difference ascent with restarts and, on tuple spaces of at most
+    ``grid_dim_cap`` tuples, a simplex grid of at most ``grid_points_cap``
+    points, with no concavity certificate (``meta["termination"]`` is
+    "budget").  ``iterations``, ``step_scale`` and ``tol`` apply to the exact
+    kind only, ``grid_dim_cap`` and ``grid_points_cap`` to the relaxed kinds
+    only.  The result's ``iterations`` counts ascent steps for the exact kind
+    and laws scored for the relaxed kinds.
     """
+    if kind != EXACT and kind not in WEAKENED_KINDS:
+        raise ShapeError(f"unknown cut kind {kind!r}; pick one of "
+                         f"{(EXACT, *WEAKENED_KINDS)}")
     if len(session.messages) > 1 and cut_weights is None:
         raise ShapeError(
             "multi-message sessions have a region, not a scalar; evaluate "
             "cutset_region per cut or pass cut_weights for a weighted "
             "scalarization")
-    from .cutset import enumerate_cuts  # local import to avoid a cycle
     cuts = [S for S, msgs in enumerate_cuts(session) if msgs]
     if not cuts:
         raise ShapeError("no cut separates the session's message")
@@ -338,7 +352,7 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
             raise ShapeError("cut weights must be nonnegative")
     if spaces is None:
         spaces = [enumerate_code_functions(n, cap=cap) for n in ch.nodes]
-    if kind != "exact":
+    if kind != EXACT:
         if weights is not None:
             raise ShapeError("cut_weights is only supported for the exact kind")
         return _maximize_weakened_minimum(
@@ -392,63 +406,136 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
               "spaces": tuple(tuple(s) for s in spaces)})
 
 
+class _TuplePaths:
+    """Every tree tuple rolled through the block once: per path its tuple, its
+    coordinates in the block joint and its probability, with the
+    tuple-to-marginal maps built from them."""
+
+    def __init__(self, ch: BlockChannel, spaces: Sequence[Sequence[CodeFunction]]):
+        trees = tree_tables(ch, spaces)
+        self.variables = joint_variables(ch, trees)
+        self.index = {v.name: i for i, v in enumerate(self.variables)}
+        self.meta = {"channel": ch, "L": ch.L}
+        self.shape = tuple(len(v.alphabet) for v in self.variables)
+        self.n = prod(len(s) for s in spaces)
+        self.owner, cell, self.prob = (np.concatenate(a) for a in
+                                       zip(*joint_paths(ch, trees, np.arange(self.n))))
+        self.coords = np.unravel_index(cell, self.shape)
+        self._maps: dict[frozenset, np.ndarray] = {}
+
+    def marginal_map(self, axes: frozenset) -> np.ndarray:
+        """tuples x marginal cells: each tuple's law of the variables at
+        ``axes``, cells in C order over those axes in table order."""
+        if axes not in self._maps:
+            keep = sorted(axes)
+            shape = [self.shape[a] for a in keep]
+            cells = prod(shape)
+            if self.n * cells > MAX_CELLS:
+                raise SizeError(f"marginal map would need {self.n * cells} cells "
+                                f"(cap {MAX_CELLS})")
+            col = np.ravel_multi_index([self.coords[a] for a in keep], shape)
+            self._maps[axes] = np.bincount(self.owner * cells + col, self.prob,
+                                           minlength=self.n * cells).reshape(self.n, cells)
+        return self._maps[axes]
+
+
+class _LawBatch:
+    """The block joints of a batch of tuple laws, as the cut evaluators read
+    a joint: ``entropy(names)`` gives one value per law, from ``laws @ M``
+    with M the tuple-to-marginal map of that variable set."""
+
+    axis = JointBlockDistribution.axis
+    select = JointBlockDistribution.select
+    horizon = JointBlockDistribution.horizon
+
+    def __init__(self, paths: _TuplePaths, laws: np.ndarray):
+        self.variables, self.meta, self._index = paths.variables, paths.meta, paths.index
+        self._paths, self._laws = paths, laws
+        self._cache: dict[frozenset, np.ndarray] = {}
+
+    def entropy(self, names: Iterable[str]) -> np.ndarray:
+        axes = frozenset(self.axis(n) for n in names)
+        if axes not in self._cache:
+            if not axes:
+                self._cache[axes] = np.zeros(len(self._laws))
+            else:
+                P = self._laws @ self._paths.marginal_map(axes)
+                logP = np.log2(np.where(P > 0.0, P, 1.0))
+                self._cache[axes] = -(P * logP).sum(axis=1)
+        return self._cache[axes]
+
+
+def _weakened_minimum(paths: _TuplePaths, laws: np.ndarray, cuts: Sequence[frozenset],
+                      kind: str) -> np.ndarray:
+    """min over the cuts of the relaxed cut value, bits per use, at each law
+    (a row of ``laws`` over the tuples, negative weights read as zero)."""
+    laws = np.maximum(laws, 0.0)
+    if np.abs(laws.sum(axis=1) - 1.0).max() > PROB_TOL:
+        raise InvalidDistributionError("code-function weights are not a distribution")
+    batch = _LawBatch(paths, laws)
+    return np.min([weakened_bound(batch, S, kind) for S in cuts], axis=0)
+
+
 def _maximize_weakened_minimum(ch, spaces, cuts, kind, *, seed=0,
                                iterations: int = 60, restarts: int = 3,
                                step_scale: float = 0.5,
-                               grid_dim_cap: int = 6,
-                               grid_points_cap: int = 2000) -> OptimizationResult:
-    """Ascent on a relaxed min-cut objective without a concavity certificate."""
-    from .cutset import weakened_bound
-    from .model import joint_distribution
-    sizes = tuple(len(s) for s in spaces)
-    n = prod(sizes)
+                               grid_dim_cap: int,
+                               grid_points_cap: int) -> OptimizationResult:
+    """Ascent on a relaxed min-cut objective without a concavity certificate.
 
-    def f(p):
-        pa = CodeFunctionDistribution(spaces, np.maximum(p, 0.0).reshape(sizes))
-        joint = joint_distribution(pa, ch)
-        return min(weakened_bound(joint, S, kind) for S in cuts)
+    The tuples are rolled out once; each batch of laws (a step's
+    forward-difference probes, a slice of the grid) is scored together.
+    """
+    sizes = tuple(len(s) for s in spaces)
+    paths = _TuplePaths(ch, spaces)
+    n = paths.n
+    evaluations = 0
+
+    def f(laws):
+        nonlocal evaluations
+        evaluations += len(laws)
+        return _weakened_minimum(paths, laws, cuts, kind)
 
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / n)]
     starts += [rng.dirichlet(np.ones(n)) for _ in range(restarts)]
     best_value, best_p = -np.inf, starts[0]
-    evaluations = 0
     delta = 1e-4
     for p in starts:
-        value = f(p)
-        evaluations += 1
+        value = f(p[None, :])[0]
         if value > best_value:
             best_value, best_p = value, p.copy()
         for t in range(1, iterations + 1):
-            g = np.empty(n)
-            for a in range(n):
-                step = (1.0 - delta) * p
-                step[a] += delta
-                g[a] = (f(step) - value) / delta
-                evaluations += 1
+            probes = np.tile((1.0 - delta) * p, (n, 1))
+            probes[np.arange(n), np.arange(n)] += delta
+            g = (f(probes) - value) / delta
             scale = np.abs(g).max()
             if scale <= 1e-12:
                 break
             p = project_to_simplex(p + (step_scale / sqrt(t)) * g / scale)
-            value = f(p)
-            evaluations += 1
+            value = f(p[None, :])[0]
             if value > best_value:
                 best_value, best_p = value, p.copy()
     method = "subgradient"
+    grid_points = 0
     if n <= grid_dim_cap:
         resolution = 1
         while (resolution < 100
                and comb(resolution + n, n - 1) <= grid_points_cap):
             resolution += 1
-        for q in simplex_grid(n, resolution):
-            value = f(q)
-            evaluations += 1
-            if value > best_value:
-                best_value, best_p, method = value, q.copy(), "grid"
+        points = simplex_grid(n, resolution)
+        for first in points:
+            Q = np.array([first, *itertools.islice(points, ROLLOUT_CHUNK - 1)])
+            values = f(Q)
+            grid_points += len(Q)
+            j = int(np.argmax(values))
+            if values[j] > best_value:
+                best_value, best_p, method = values[j], Q[j], "grid"
     return OptimizationResult(
-        value=best_value, distribution=best_p.reshape(sizes),
+        value=float(best_value), distribution=best_p.reshape(sizes),
         iterations=evaluations, gap=float("nan"), method=method,
         meta={"cuts": cuts, "kind": kind, "concavity_certified": False,
+              "termination": "budget", "grid_points": grid_points,
               "spaces": tuple(tuple(s) for s in spaces)})
 
 

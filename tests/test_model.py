@@ -13,7 +13,7 @@ Claims:
     - the array rollout engine's joint, tree-to-output matrix and induced
       channel match the dictionary-loop rollout to 1e-12 on random channels,
       random relays, the shared-feedback adder MAC and every block spec, and
-      its chunk size never changes a table
+      its chunk size never changes a table or the joint's paths
     - code trees over other alphabets than their node's, kernel histories
       outside the alphabets and missing reachable kernel rows raise
       ShapeError naming the node, the history or the kernel time
@@ -275,17 +275,25 @@ class TestRolloutEngine:
 
     def test_chunks_do_not_change_tables(self, rng, monkeypatch):
         # a tuple's paths never straddle chunks, and each table sums its
-        # paths in the same order whatever the chunk size
+        # paths in the same order whatever the chunk size; the joint's paths
+        # (tuple, cell, probability) come out the same as well
         for _ in range(4):
             ch = random_channel(rng)
             spaces = channel_spaces(ch)
             pa = random_pa(rng, spaces)
-            whole = (tuple_channel_matrix(ch, spaces, range(1, ch.K + 1)),
-                     joint_distribution(pa, ch).table)
+            trees = model.tree_tables(ch, spaces)
+            tuples = np.arange(prod(len(s) for s in spaces))
+
+            def tables():
+                paths = zip(*model.joint_paths(ch, trees, tuples))
+                return (tuple_channel_matrix(ch, spaces, range(1, ch.K + 1)),
+                        joint_distribution(pa, ch).table,
+                        *(np.concatenate(a) for a in paths))
+            whole = tables()
             monkeypatch.setattr(model, "ROLLOUT_CHUNK", 3)
-            chunked = (tuple_channel_matrix(ch, spaces, range(1, ch.K + 1)),
-                       joint_distribution(pa, ch).table)
+            chunked = tables()
             monkeypatch.undo()
+            assert len(whole) == len(chunked) == 5
             assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 

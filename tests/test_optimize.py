@@ -16,6 +16,14 @@ Claims:
       empty conditioning groups; the reported bracket [value, value + gap] is
       finite and holds the grid optimum, also without single-cut anchors; the
       result says why the ascent stopped
+    - relaxed max-min: the batched objective equals the min over cuts of the
+      relaxed bound on each law's joint to 1e-12 (directed and input-output
+      on random relays and channels, additive-noise, deterministic); it reads
+      negative weights as zero, rejects laws that do not sum to 1 and
+      marginal maps over the cell cap; the value replays at the returned law
+      to 1e-12 and the seeded L=1 relay scores 11,084 laws; unknown kinds
+      raise ShapeError before any enumeration, and additive-noise needs a
+      noise block
     - support reduction certifies the documented two- and four-tree optima,
       never exceeds the full optimum, and its branch and bound returns the
       support and value of an unpruned exhaustive search
@@ -27,6 +35,7 @@ import itertools
 from collections import defaultdict
 from functools import partial
 from math import comb, log2, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +51,8 @@ from inblock.catalog import (
     rewrite_optimal_trees,
     state_addition_channel,
 )
-from inblock.errors import ShapeError, SizeError
+from inblock.cutset import weakened_bound
+from inblock.errors import InvalidDistributionError, ShapeError, SizeError
 from inblock.model import (
     SILENT,
     BlockChannel,
@@ -50,6 +60,7 @@ from inblock.model import (
     Message,
     NetworkSession,
     NodeSpec,
+    joint_distribution,
 )
 from inblock.optimize import (
     _CutObjective,
@@ -64,8 +75,11 @@ from inblock.optimize import (
     tuple_channel_matrix,
 )
 from inblock.probability import FiniteDistribution, binary_entropy
+from inblock.specio import parse_spec
 
 from conftest import channel_spaces, random_channel, random_pa, random_relay_channel
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
 
 def mutual_information_of(r, W):
@@ -444,6 +458,99 @@ class TestMaxMinCuts:
         res = maximize_cutset_minimum(session, ch, kind="input-output-weakened")
         assert res.value == pytest.approx(binary_entropy(0.11) / 2, abs=1e-6)
         assert res.meta["concavity_certified"] is False
+
+
+def all_cuts(K):
+    return [frozenset(k for k in range(1, K + 1) if mask >> (k - 1) & 1)
+            for mask in range(1, 2 ** K - 1)]
+
+
+def relaxed_minimum_by_joint(ch, spaces, law, cuts, kind):
+    """min over cuts of the relaxed cut value at one law, from the joint."""
+    pa = CodeFunctionDistribution(spaces, law.reshape([len(s) for s in spaces]))
+    joint = joint_distribution(pa, ch)
+    return min(weakened_bound(joint, S, kind) for S in cuts)
+
+
+class TestRelaxedMaxMin:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), case=st.sampled_from(["relay", "random"]))
+    def test_batched_objective_matches_the_joint(self, seed, case):
+        rng = np.random.default_rng(seed)
+        ch = (random_relay_channel(rng, L=int(rng.integers(1, 3))) if case == "relay"
+              else random_channel(rng))
+        spaces = channel_spaces(ch)
+        paths = optimize._TuplePaths(ch, spaces)
+        laws = np.vstack([rng.dirichlet(np.full(paths.n, 0.7), size=3),
+                          sparse_law(rng, paths.n, 0.3)])
+        cuts = all_cuts(ch.K)
+        for kind in ("directed-weakened", "input-output-weakened"):
+            got = optimize._weakened_minimum(paths, laws, cuts, kind)
+            assert got.shape == (len(laws),)
+            for law, value in zip(laws, got):
+                want = relaxed_minimum_by_joint(ch, spaces, law, cuts, kind)
+                assert abs(value - want) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["additive-noise", "deterministic"])
+    def test_batched_specializations_match_the_joint(self, kind, rng):
+        if kind == "additive-noise":
+            from inblock.catalog import noise_leak_channel
+            ch = noise_leak_channel(0.3, 0.11)
+        else:
+            ch, _session = parse_spec(SPEC_DIR / "bc_deterministic.json")
+        spaces = channel_spaces(ch)
+        paths = optimize._TuplePaths(ch, spaces)
+        laws = rng.dirichlet(np.full(paths.n, 0.7), size=4)
+        cuts = all_cuts(ch.K)
+        got = optimize._weakened_minimum(paths, laws, cuts, kind)
+        for law, value in zip(laws, got):
+            want = relaxed_minimum_by_joint(ch, spaces, law, cuts, kind)
+            assert abs(value - want) <= 1e-12
+
+    def test_batched_objective_checks(self, rng, monkeypatch):
+        ch = random_relay_channel(rng)
+        paths = optimize._TuplePaths(ch, channel_spaces(ch))
+        cuts = all_cuts(3)
+        short = np.full((2, paths.n), 0.9 / paths.n)
+        with pytest.raises(InvalidDistributionError):
+            optimize._weakened_minimum(paths, short, cuts, "directed-weakened")
+        # negative weights read as zero before the check, as for one joint
+        law = np.full(paths.n, 1.0 / paths.n)
+        law[0] -= 1e-10
+        law[1] += 1e-10
+        optimize._weakened_minimum(paths, law[None, :], cuts, "directed-weakened")
+        monkeypatch.setattr(optimize, "MAX_CELLS", 4)
+        with pytest.raises(SizeError):
+            maximize_cutset_minimum(relay_session(), ch, kind="directed-weakened")
+
+    def test_value_replays_at_returned_law(self):
+        # seeded L=1 relay: 4 starts, each scored once and then 60 steps of
+        # 4 probes and 1 iterate, plus the 9,880-point grid; the parent of
+        # the batched objective reports the same count
+        ch = random_relay_channel(np.random.default_rng(7))
+        for kind in ("directed-weakened", "input-output-weakened"):
+            res = maximize_cutset_minimum(relay_session(), ch, kind=kind)
+            replay = relaxed_minimum_by_joint(ch, res.meta["spaces"], res.distribution,
+                                              res.meta["cuts"], kind)
+            assert abs(replay - res.value) <= 1e-12
+            assert res.iterations == 11_084
+            assert res.meta["grid_points"] == 9_880
+            assert res.meta["termination"] == "budget"
+
+    def test_unknown_kind_fails_before_enumeration(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("enumerated or rolled out before checking the kind")
+        monkeypatch.setattr(optimize, "enumerate_code_functions", refuse)
+        monkeypatch.setattr(optimize, "tree_tables", refuse)
+        ch = causal_relay_counterexample()[0]
+        for kind in ("baik", "directed-weaken", "Exact"):
+            with pytest.raises(ShapeError, match="directed-weakened"):
+                maximize_cutset_minimum(relay_session(), ch, kind=kind)
+
+    def test_additive_kind_needs_a_noise_block(self, rng):
+        ch = random_relay_channel(rng)
+        with pytest.raises(ShapeError, match="noise block"):
+            maximize_cutset_minimum(relay_session(), ch, kind="additive-noise")
 
 
 class TestSupportReduction:
