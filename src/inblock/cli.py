@@ -9,6 +9,7 @@ zero iff every requested computation and assertion succeeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -122,6 +123,7 @@ def cmd_capacity(args) -> RunReport:
     report.add("capacity", result.value, "bits/use")
     report.add("per block", result.value * ch.L, "bits")
     report.metadata.update(method=result.method, iterations=result.iterations,
+                           termination=result.meta["termination"],
                            bracket_gap=f"{result.gap:.3e}",
                            trees=len(result.meta["trees"]),
                            feedback=not args.no_feedback)
@@ -316,6 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reuses a parser across parse_args calls; building one per call
+# costs more than most commands on the shipped specs.
+_parser = functools.cache(build_parser)
+
 HANDLERS = {
     "capacity": cmd_capacity,
     "cutset": cmd_cutset,
@@ -331,7 +337,7 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = HANDLERS[args.command](args)
     except InBlockError as err:

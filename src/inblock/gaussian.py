@@ -55,6 +55,8 @@ class GaussianNetwork:
                 raise ShapeError(f"G[{k},{j}] has entries above the diagonal")
             gains[(k, j)] = g
         object.__setattr__(self, "gains", gains)
+        if not set(self.noise) <= set(range(1, self.K + 1)):
+            raise ShapeError(f"noise indices {sorted(self.noise)} outside nodes 1..{self.K}")
         noise = {}
         for k in range(1, self.K + 1):
             q = np.asarray(self.noise.get(k, np.eye(self.L)), dtype=float)

@@ -2,12 +2,14 @@
 distributions.
 
 Point-to-point capacity is alternating minimization on the code-function
-channel P(y^L | a^L) with the standard upper/lower bracket.  Max-min cut
-objectives use projected supergradient ascent on the simplex, seeded with
-exact single-cut optimizers (conditioned alternating minimization per
-complement tuple); every iterate's supergradient rows give an upper bound
-(the Frank-Wolfe duality gap), and the ascent stops once that bound or the
-single-cut one is within tolerance of the best value.  The relaxed max-min
+channel P(y^L | a^L), with steps lengthened while they raise the value, and
+the standard upper/lower bracket.  The exact max-min over cuts is the saddle
+point of the cut-weighted sum, solved by entropic mirror-prox on the tree-law
+and cut-law simplices, with the exact single-cut optimizers (conditioned
+alternating minimization per complement tuple) as further candidates; the
+divergence rows of all cuts, computed in one pass, bound the optimum at every
+law evaluated, and the solver stops once that bound or the single-cut one is
+within tolerance of the best value.  The relaxed max-min
 rolls every tuple out once and scores its laws in batches, each entropy one
 product of the laws with a tuple-to-marginal map.  Support reduction
 searches supports up to a cardinality budget, exhaustively when feasible, with
@@ -44,6 +46,10 @@ from .probability import MAX_CELLS, PROB_TOL, JointBlockDistribution
 
 BA_TOL = 1e-9
 BA_MAX_ITER = 100_000
+MIRROR_STEP = 4.0           # first mirror-prox step (exponent in bits per bit)
+CHECK_EVERY = 10            # mirror-prox steps between evaluations of the average
+STALE_CHECKS = 40           # checks without a smaller gap before the step halves
+CUT_LAW_FLOOR = 1e-6        # least weight of a cut, so none underflows for good
 
 
 @dataclass
@@ -52,7 +58,7 @@ class OptimizationResult:
     distribution: np.ndarray | None
     iterations: int
     gap: float
-    method: str                       # "ba" | "subgradient" | "grid"
+    method: str                       # "ba" | "mirror-prox" | "subgradient" | "grid"
     meta: dict = field(default_factory=dict)
 
 
@@ -64,8 +70,11 @@ def blahut_arimoto(W: np.ndarray, *, tol: float = BA_TOL,
     """Channel capacity of row-stochastic W in bits.
 
     Returns (capacity lower value, maximizing input law, iterations, bracket gap).
-    The lower value is within ``tol`` of capacity at termination; iterates are
-    monotone nondecreasing.  The upper end ``max_j D_j`` bounds capacity at every
+    Each iteration evaluates one law's divergences D; the law moves as
+    r * 2^(mu (D - max D)), the step-size family of Matz and Duhamel, with mu
+    grown while the value rises, so the accepted iterates are monotone
+    nondecreasing.  The lower value is within ``tol`` of capacity at
+    termination.  The upper end ``max_j D_j`` bounds capacity at every
     iterate, so the run also stops once it falls to ``floor`` or below; the
     bracket returned then has width ``tol`` or more.
     """
@@ -81,23 +90,41 @@ def blahut_arimoto(W: np.ndarray, *, tol: float = BA_TOL,
         return 0.0, np.ones(m) / m, 0, 0.0
 
     logW = np.where(W > 0.0, np.log2(np.where(W > 0.0, W, 1.0)), 0.0)
-    r = np.full(m, 1.0 / m)
-    lower = -np.inf
-    for it in range(1, max_iter + 1):
-        out = r @ W
-        with np.errstate(divide="ignore"):
-            ref = np.where(out > 0.0, np.log2(np.where(out > 0.0, out, 1.0)), 0.0)
-        D = ((logW - ref[None, :]) * W).sum(axis=1)
-        new_lower = float(r @ D)
-        upper = float(D.max())
-        if new_lower < lower - 1e-12:
-            raise ArithmeticError("alternating-minimization iterate decreased")
-        lower = max(lower, new_lower)
-        if upper - new_lower < tol or upper <= floor:
-            return lower, r, it, upper - new_lower
-        r = r * np.exp2(D)
+
+    def step(r, D, mu):
+        """r * 2^(mu (D - max D)), renormalized, with its divergences and value."""
+        r = r * np.exp2(mu * (D - D.max()))
         r /= r.sum()
-    return lower, r, max_iter, upper - new_lower
+        out = r @ W
+        D = ((logW - np.log2(np.where(out > 0.0, out, 1.0))[None, :]) * W).sum(axis=1)
+        return r, D, float(r @ D)
+
+    # mu = 0 from any D is the uniform law itself; mu = 1 is the plain
+    # alternating-minimization step, which never lowers the value.  mu grows
+    # while its steps raise the value; a step that would lower it is retried
+    # at a quarter of mu, down to 1.
+    r, D, lower = step(np.full(m, 1.0 / m), np.zeros(m), 0.0)
+    mu, it = 1.0, 1
+    while True:
+        upper = float(D.max())
+        if upper - lower < tol or upper <= floor or it >= max_iter:
+            return lower, r, it, upper - lower
+        next_r, next_D, value = step(r, D, mu)
+        it += 1
+        while value < lower and mu > 1.0:
+            mu = max(1.0, mu / 4.0)
+            next_r, next_D, value = step(r, D, mu)
+            it += 1
+        if value < lower - 1e-12:
+            raise ArithmeticError("alternating-minimization iterate decreased")
+        if value >= lower:
+            mu *= 1.5
+        r, D, lower = next_r, next_D, max(lower, value)
+
+
+def _ba_termination(gap: float, iterations: int, tol: float, max_iter: int) -> str:
+    """Why ``blahut_arimoto`` stopped, read off what it returned."""
+    return "certified" if gap < tol else "max_iter" if iterations >= max_iter else "floor"
 
 
 def receiver_code_function(ch: BlockChannel, k: int) -> CodeFunction:
@@ -141,7 +168,8 @@ def maximize_point_to_point(ch: BlockChannel, *, feedback: bool = True,
 
     With ``feedback`` the maximization runs over all code trees of node 1;
     without it only the constant (codeword) trees enter, which is the
-    vector-alphabet no-feedback capacity.
+    vector-alphabet no-feedback capacity.  ``meta["termination"]`` is
+    "certified" (bracket below ``tol``) or "max_iter".
     """
     require_point_to_point(ch)
     node = ch.nodes[0]
@@ -154,7 +182,8 @@ def maximize_point_to_point(ch: BlockChannel, *, feedback: bool = True,
     return OptimizationResult(
         value=value / ch.L, distribution=r, iterations=iters, gap=gap / ch.L,
         method="ba", meta={"trees": tuple(trees), "feedback": feedback,
-                           "bits_per_block": value})
+                           "bits_per_block": value,
+                           "termination": _ba_termination(gap, iters, tol, max_iter)})
 
 
 def ptp_support_bound(ch: BlockChannel) -> int:
@@ -202,8 +231,13 @@ def simplex_grid(dim: int, resolution: int):
 # -- max-min cut optimization ---------------------------------------------------
 
 class _CutObjective:
-    """min (or weighted sum) over cuts of I(A_S ; Y_{S^c} | A_{S^c}),
-    with the per-tuple divergence rows that are its supergradients."""
+    """min (or weighted sum) over cuts of I(A_S ; Y_{S^c} | A_{S^c}), with the
+    per-tuple divergence rows that bound each cut from above.
+
+    Every cut's tuple-to-output matrix is also kept flat, one entry per
+    positive (cut, tuple, output) probability pointing at its (cut,
+    conditioning group, output) cell, so that one pass of ``np.bincount``
+    gives the rows of all cuts."""
 
     def __init__(self, ch: BlockChannel, spaces: Sequence[Sequence[CodeFunction]],
                  cuts: Sequence[frozenset],
@@ -216,53 +250,66 @@ class _CutObjective:
         full = tuple_channel_matrix(ch, spaces, range(1, ch.K + 1)).reshape(
             self.n, *(len(ch.output_alphabet(k, i)) for k in range(1, ch.K + 1)
                       for i in range(1, ch.L + 1)))
-        self._per_cut = []
-        for S in self.cuts:
+        self.matrices = []                  # per cut: (tuples x outputs, group ids)
+        row, cell, cell_group, shared = [], [], [], []
+        cells = groups = 0
+        for c, S in enumerate(self.cuts):
             hidden = tuple(1 + (k - 1) * ch.L + i for k in S for i in range(ch.L))
             W = full.sum(axis=hidden).reshape(*self.sizes, -1)
-            logW = np.where(W > 0.0, np.log2(np.where(W > 0.0, W, 1.0)), 0.0)
             axes = tuple(k - 1 for k in S)
             # A conditioning group without mass takes the average of its rows
-            # as reference, so its rows stay supergradients there too.
-            shared = W.mean(axis=axes, keepdims=True)
-            groups = tuple(1 if a in axes else m for a, m in enumerate(self.sizes))
-            gid = np.broadcast_to(np.arange(prod(groups)).reshape(groups),
-                                  self.sizes).ravel()
-            self._per_cut.append((W, logW, axes, shared, gid))
+            # as reference, so its rows still bound the cut there.
+            shared.append(W.mean(axis=axes).ravel())
+            shape = tuple(1 if a in axes else m for a, m in enumerate(self.sizes))
+            n_groups, m = prod(shape), W.shape[-1]
+            gid = np.broadcast_to(np.arange(n_groups).reshape(shape), self.sizes).ravel()
+            W = W.reshape(self.n, m)
+            self.matrices.append((W, gid))
+            j, y = np.nonzero(W)
+            row.append(c * self.n + j)
+            cell.append(cells + gid[j] * m + y)
+            cell_group.append(groups + np.repeat(np.arange(n_groups), m))
+            cells, groups = cells + n_groups * m, groups + n_groups
+        self._row, self._cell, self._cell_group, self._shared = (
+            np.concatenate(a) for a in (row, cell, cell_group, shared))
+        self._tuple = self._row % self.n
+        self._w = np.concatenate([W[W > 0.0] for W, _ in self.matrices])
+        self._logw = np.log2(self._w)
 
     def kl_rows(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per cut and tuple, the divergence of the tuple's output law from its
         group's law under p, and the entries where that law misses an output
         of the tuple (+inf; the first array leaves those outputs out).  With
         them, row i satisfies f_i(q) <= row_i @ q for every law q."""
-        P = p.reshape(*self.sizes, 1)
-        G = np.empty((len(self.cuts), self.n))
-        blind = np.empty((len(self.cuts), self.n), dtype=bool)
-        for i, (W, logW, axes, shared, _gid) in enumerate(self._per_cut):
-            q = P.sum(axis=axes, keepdims=True)
-            mix = (P * W).sum(axis=axes, keepdims=True)
-            ref = np.where(q > 0.0, mix / np.where(q > 0.0, q, 1.0), shared)
-            logref = np.log2(np.where(ref > 0.0, ref, 1.0))
-            G[i] = ((logW - logref) * W).sum(axis=-1).ravel()
-            blind[i] = ((W > 0.0) & (ref <= 0.0)).any(axis=-1).ravel()
-        return G, blind
+        size = len(self.cuts) * self.n
+        mix = np.bincount(self._cell, p[self._tuple] * self._w, minlength=len(self._shared))
+        # rows sum to 1, so a group's mass is the sum of its output cells
+        mass = np.bincount(self._cell_group, mix)[self._cell_group]
+        ref = np.divide(mix, mass, out=self._shared.copy(), where=mass > 0.0)[self._cell]
+        logref = np.log2(ref, out=np.zeros(len(ref)), where=ref > 0.0)
+        G = np.bincount(self._row, (self._logw - logref) * self._w, minlength=size)
+        blind = np.bincount(self._row, ref <= 0.0, minlength=size) > 0.0
+        return G.reshape(-1, self.n), blind.reshape(-1, self.n)
 
     def combine(self, values: np.ndarray) -> float:
         if self.weights is not None:
             return float(self.weights @ values)
         return float(values.min())
 
-    def supergradient(self, G: np.ndarray, values: np.ndarray) -> np.ndarray:
-        if self.weights is not None:
-            return self.weights @ G
-        return G[values <= values.min() + 1e-12].mean(axis=0)
 
-
-def _dual_bound(G: np.ndarray, blind: np.ndarray, duals: np.ndarray) -> float:
+def _dual_bound(G: np.ndarray, blind: np.ndarray, duals) -> float:
     """min over the cut-weight rows l of max_j (l^T G)_j, each an upper bound on
     max_q sum_i l_i f_i(q); a blind entry under a weighted cut counts +inf."""
     H = np.where(blind, np.inf, G)
     return min(float((l[l > 0.0] @ H[l > 0.0]).max()) for l in duals)
+
+
+def _tilt(x: np.ndarray, s: np.ndarray, floor=0.0) -> np.ndarray:
+    """The law x * 2^s renormalized, shifted by the largest exponent on x's
+    support so that nothing overflows."""
+    x = x * np.exp2(s - s[x > 0.0].max())
+    x = np.maximum(x / x.sum(), floor)
+    return x / x.sum()
 
 
 def _single_cut_anchors(objective: _CutObjective, *, conditioning_cap: int = 512,
@@ -276,8 +323,8 @@ def _single_cut_anchors(objective: _CutObjective, *, conditioning_cap: int = 512
     and bounded by +inf.
     """
     anchors, uppers = [], []
-    for W, _logW, _axes, _shared, gid in objective._per_cut:
-        W, n_groups = W.reshape(objective.n, -1), gid[-1] + 1
+    for W, gid in objective.matrices:
+        n_groups = gid[-1] + 1
         if n_groups > conditioning_cap:
             uppers.append(np.inf)
             continue
@@ -297,12 +344,71 @@ def _single_cut_anchors(objective: _CutObjective, *, conditioning_cap: int = 512
     return anchors, sum(w * u for w, u in zip(objective.weights, uppers) if w > 0.0)
 
 
+def _mirror_prox(objective: _CutObjective, starts: Sequence[np.ndarray], upper: float,
+                 *, tol: float, iterations: int):
+    """Entropic mirror-prox on min over cut laws lam of max over tuple laws p
+    of sum_i lam_i f_i(p) from uniform p and lam (lam held at the weights of
+    a weighted sum).  Every law evaluated is a lower-end candidate: the
+    starts, each extrapolated and updated iterate, and the step-weighted
+    average every ``CHECK_EVERY`` steps.  The rows G at the starts, the
+    average and the extrapolated iterate give upper bounds max_j (l^T G)_j
+    for the cut laws l kept.  Returns the best value, its law, the steps
+    taken and the least upper bound.
+    """
+    best = (-np.inf, None)
+
+    def rows(p):
+        nonlocal best
+        G, blind = objective.kl_rows(p)
+        values = G @ p
+        if objective.combine(values) > best[0]:
+            best = (objective.combine(values), p)
+        return G, blind, values
+
+    def cut_step(lam, values, eta):
+        if objective.weights is not None:
+            return lam
+        return _tilt(lam, -eta * values, CUT_LAW_FLOOR)
+
+    cuts = len(objective.cuts)
+    p = np.full(objective.n, 1.0 / objective.n)
+    lam = np.full(cuts, 1.0 / cuts) if objective.weights is None else objective.weights
+    singles = list(np.eye(cuts)) if objective.weights is None else []
+    for start in (*starts, p):
+        G, blind, values = rows(start)
+        upper = min(upper, _dual_bound(G, blind, [lam, *singles]))
+    p_sum, lam_sum = np.zeros_like(p), np.zeros_like(lam)
+    eta, stale, steps, gap = MIRROR_STEP, 0, 0, upper - best[0]
+    while gap > tol and steps < iterations:
+        steps += 1
+        p_half, lam_half = _tilt(p, eta * (lam @ G)), cut_step(lam, values, eta)
+        G_half, blind_half, values_half = rows(p_half)
+        p, lam = _tilt(p, eta * (lam_half @ G_half)), cut_step(lam, values_half, eta)
+        G, _, values = rows(p)
+        p_sum += eta * p_half
+        lam_sum += eta * lam_half
+        if steps % CHECK_EVERY and steps < iterations:
+            continue
+        # a weighted sum is bounded only under its own (unnormalized) weights
+        duals = [lam] if objective.weights is not None else [
+            lam_sum / lam_sum.sum(), lam_half, *singles]
+        G_bar, blind_bar, _ = rows(p_sum / p_sum.sum())
+        upper = min(upper, _dual_bound(G_bar, blind_bar, duals),
+                    _dual_bound(G_half, blind_half, duals))
+        if upper - best[0] < gap:
+            gap, stale = upper - best[0], 0
+        else:
+            stale += 1
+            if stale == STALE_CHECKS:
+                eta, stale = eta / 2.0, 0
+    return best[0], best[1], steps, upper
+
+
 def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
                             kind: str = "exact",
                             cut_weights=None,
                             spaces: Sequence[Sequence[CodeFunction]] | None = None,
                             iterations: int = 2000,
-                            step_scale: float = 1.0,
                             seed: int = 0,
                             cap: int = DEFAULT_ENUMERATION_CAP,
                             tol: float = BA_TOL,
@@ -310,25 +416,27 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
                             grid_points_cap: int = 10_000) -> OptimizationResult:
     """Maximize min over message-separating cuts of the chosen cut value.
 
-    For the exact objective (concave): projected supergradient ascent with
-    c/sqrt(t) steps on the simplex over dependent code-function tuples, seeded
-    by exact single-cut optimizers.  At every iterate the cut rows G satisfy
-    f_i(q) <= G_i @ q for every law q, so max_j (lam^T G)_j bounds the optimum
-    for any cut law lam (the Frank-Wolfe duality gap).  The ascent keeps the
-    least such bound and the single-cut one, and stops once it is within
-    ``tol`` of the best value (``meta["termination"]``: "certified",
-    "zero-supergradient" or "max_iter").  Multi-message sessions have a region
-    rather than a scalar; pass ``cut_weights`` (a map cut -> weight) to
-    maximize the weighted-sum scalarization instead (also concave and bounded
-    with lam = the weights; no claim that sweeping weights traces the whole
-    region boundary).  The relaxed kinds (``cutset.WEAKENED_KINDS``) use
-    forward-difference ascent with restarts and, on tuple spaces of at most
-    ``grid_dim_cap`` tuples, a simplex grid of at most ``grid_points_cap``
-    points, with no concavity certificate (``meta["termination"]`` is
-    "budget").  ``iterations``, ``step_scale`` and ``tol`` apply to the exact
-    kind only, ``grid_dim_cap`` and ``grid_points_cap`` to the relaxed kinds
-    only.  The result's ``iterations`` counts ascent steps for the exact kind
-    and laws scored for the relaxed kinds.
+    The exact objective is concave, so its max-min is the saddle value
+    min over cut laws lam of max over dependent tree-tuple laws p of
+    sum_i lam_i f_i(p), found by entropic mirror-prox on both simplices from
+    the uniform laws, with the exact single-cut optimizers as further
+    candidates.  At every law evaluated the cut rows G satisfy
+    f_i(q) <= G_i @ q for every law q, so max_j (lam^T G)_j bounds the
+    optimum for any cut law lam.  The solver keeps the least such bound and
+    the single-cut one, and stops once it is within ``tol`` of the best value
+    (``meta["termination"]``: "certified", or "max_iter" after ``iterations``
+    steps).  Multi-message sessions have a region rather than a scalar; pass
+    ``cut_weights`` (a map cut -> weight) to maximize the weighted-sum
+    scalarization instead (also concave, with lam held at the weights; no
+    claim that sweeping weights traces the whole region boundary).  The
+    relaxed kinds (``cutset.WEAKENED_KINDS``) use forward-difference ascent
+    with restarts and, on tuple spaces of at most ``grid_dim_cap`` tuples, a
+    simplex grid of at most ``grid_points_cap`` points, with no concavity
+    certificate (``meta["termination"]`` is "budget").  ``iterations`` and
+    ``tol`` apply to the exact kind only, ``grid_dim_cap`` and
+    ``grid_points_cap`` to the relaxed kinds only.  The result's
+    ``iterations`` counts mirror-prox steps for the exact kind and laws scored
+    for the relaxed kinds.
     """
     if kind != EXACT and kind not in WEAKENED_KINDS:
         raise ShapeError(f"unknown cut kind {kind!r}; pick one of "
@@ -360,49 +468,14 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
             grid_dim_cap=grid_dim_cap, grid_points_cap=grid_points_cap)
     objective = _CutObjective(ch, spaces, cuts, weights)
     anchors, upper = _single_cut_anchors(objective, tol=tol)
-    # Cut weights for the dual bound: the given weights, or a warm-started law
-    # over the cuts together with each single cut.
-    duals = (objective.weights[None, :] if weights is not None
-             else np.vstack([np.full(len(cuts), 1.0 / len(cuts)), np.eye(len(cuts))]))
-
-    def at(p):
-        G, blind = objective.kl_rows(p)
-        values = G @ p
-        return objective.combine(values), values, G, blind
-
-    starts = [(p, method, *at(p)) for p, method in
-              [(np.full(objective.n, 1.0 / objective.n), "subgradient"),
-               *((a, "ba") for a in anchors)]]
-    upper = min(upper, *(_dual_bound(G, blind, duals) for *_, G, blind in starts))
-    p, method, best_value, values, G, blind = max(starts, key=lambda e: e[2])
-    best_p, steps, termination = p, 0, "max_iter"
-    while upper - best_value > tol:
-        if steps == iterations:
-            break
-        g = objective.supergradient(G, values)
-        scale = np.abs(g).max()
-        if scale <= tol:
-            termination = "zero-supergradient"
-            break
-        steps += 1
-        p = project_to_simplex(p + (step_scale / sqrt(steps)) * g / scale)
-        value, values, G, blind = at(p)
-        if value > best_value:
-            best_value, best_p, method = value, p, "subgradient"
-        if weights is None:
-            # one exponentiated step on the cut law toward a lower bound
-            lam = duals[0] * np.exp2(-(step_scale / sqrt(steps))
-                                     * G[:, np.argmax(duals[0] @ G)] / scale)
-            duals[0] = lam / lam.sum()
-        upper = min(upper, _dual_bound(G, blind, duals))
-    else:
-        termination = "certified"
+    value, p, steps, upper = _mirror_prox(objective, anchors, upper,
+                                          tol=tol, iterations=iterations)
     return OptimizationResult(
-        value=best_value / ch.L,
-        distribution=best_p.reshape(objective.sizes),
-        iterations=steps, gap=max(upper - best_value, 0.0) / ch.L,
-        method=method,
-        meta={"cuts": cuts, "upper_bound": upper, "termination": termination,
+        value=value / ch.L, distribution=p.reshape(objective.sizes),
+        iterations=steps, gap=max(upper - value, 0.0) / ch.L,
+        method="mirror-prox",
+        meta={"cuts": cuts, "upper_bound": upper,
+              "termination": "certified" if upper - value <= tol else "max_iter",
               "spaces": tuple(tuple(s) for s in spaces)})
 
 
@@ -569,8 +642,10 @@ def support_reduction(ch: BlockChannel, bound: int, *,
     matrix; on the exhaustive path a candidate's alternating minimization stops
     once its upper end falls to the best value found, which leaves the result
     unchanged (``result.meta`` counts the ``candidates`` and the ``pruned``
-    ones).  Pass ``objective(W_restricted) -> (value, law)`` to certify a
-    different concave functional on the same support lattice.
+    ones, and its ``termination`` says how the returned support's run
+    stopped: "certified", "floor" or "max_iter").  Pass
+    ``objective(W_restricted) -> (value, law)`` to certify a different concave
+    functional on the same support lattice; its answer is taken as exact.
     """
     if bound < 1:
         raise ShapeError("support bound must be at least 1")
@@ -624,7 +699,8 @@ def support_reduction(ch: BlockChannel, bound: int, *,
     result = OptimizationResult(
         value=value / ch.L, distribution=r, iterations=iters, gap=gap / ch.L,
         method="ba", meta={"support": support, "trees": tuple(trees[i] for i in support),
-                           "candidates": candidates, "pruned": pruned})
+                           "candidates": candidates, "pruned": pruned,
+                           "termination": _ba_termination(gap, iters, BA_TOL, BA_MAX_ITER)})
     reached = full_value - value
     return SupportReduction(
         support=active, trees=tuple(trees[i] for i in active), result=result,

@@ -128,6 +128,48 @@ def bf_tuple_channel_matrix(ch: BlockChannel, spaces, observed):
     return W
 
 
+def plain_blahut_arimoto(W, max_iter):
+    """Textbook alternating minimization, r <- r * 2^D renormalized, for
+    ``max_iter`` steps; returns the last (lower, upper) capacity bracket."""
+    W = np.asarray(W, dtype=float)
+    r = np.full(len(W), 1.0 / len(W))
+    for _ in range(max_iter):
+        out = r @ W
+        D = np.array([sum(w * log2(w / o) for w, o in zip(row, out) if w > 0.0)
+                      for row in W])
+        if D.max() - r @ D < 1e-12:
+            break
+        r = r * np.exp2(D)
+        r /= r.sum()
+    return float(r @ D), float(D.max())
+
+
+def per_cut_kl_rows(ch: BlockChannel, spaces, cuts, p):
+    """The max-min divergence rows and blind entries, one cut at a time: each
+    cut's tuple-to-output matrix (its own outputs summed out) reshaped over
+    the tree axes, with group laws by summing over the cut's axes."""
+    sizes = tuple(len(s) for s in spaces)
+    full = bf_tuple_channel_matrix(ch, spaces, range(1, ch.K + 1)).reshape(
+        prod(sizes), *(len(ch.output_alphabet(k, i)) for k in range(1, ch.K + 1)
+                       for i in range(1, ch.L + 1)))
+    P = np.asarray(p, dtype=float).reshape(*sizes, 1)
+    G = np.empty((len(cuts), prod(sizes)))
+    blind = np.empty((len(cuts), prod(sizes)), dtype=bool)
+    for i, S in enumerate(cuts):
+        hidden = tuple(1 + (k - 1) * ch.L + t for k in S for t in range(ch.L))
+        W = full.sum(axis=hidden).reshape(*sizes, -1)
+        logW = np.where(W > 0.0, np.log2(np.where(W > 0.0, W, 1.0)), 0.0)
+        axes = tuple(k - 1 for k in S)
+        q = P.sum(axis=axes, keepdims=True)
+        mix = (P * W).sum(axis=axes, keepdims=True)
+        ref = np.where(q > 0.0, mix / np.where(q > 0.0, q, 1.0),
+                       W.mean(axis=axes, keepdims=True))
+        logref = np.log2(np.where(ref > 0.0, ref, 1.0))
+        G[i] = ((logW - logref) * W).sum(axis=-1).ravel()
+        blind[i] = ((W > 0.0) & (ref <= 0.0)).any(axis=-1).ravel()
+    return G, blind
+
+
 def bf_joint_cells(pa: CodeFunctionDistribution, ch: BlockChannel) -> dict:
     """The block joint as a dict in the layout of ``cells_of``: tree
     components, then inputs, then outputs, each node-major."""

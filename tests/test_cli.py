@@ -4,11 +4,14 @@ Claims:
     - every subcommand runs against the shipped specs with exit code 0
     - values in the reports match the library calls that produced them
     - --format json emits valid machine-readable JSON, csv emits flat rows
-    - the max-min commands say why the optimizer stopped, in text and json
+    - the max-min and capacity commands say why the optimizer stopped, in
+      text and json
+    - the argument parser is built once per process
     - reruns with the same seed reproduce the report verbatim
     - bad inputs exit nonzero with a message on stderr
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -104,6 +107,23 @@ class TestFormats:
             meta = json.loads(out)["metadata"]
             assert meta["termination"] == "certified"
             assert meta["iterations"] == 0
+
+    def test_capacity_reports_why_it_stopped(self, capsys):
+        code, out, _ = run(capsys, "capacity", "--spec", SPEC / "state_addition.json")
+        assert code == 0 and "termination: certified" in out
+        code, out, _ = run(capsys, "capacity", "--spec", SPEC / "state_addition.json",
+                           "--max-iter", "1", "--format", "json")
+        assert json.loads(out)["metadata"]["termination"] == "max_iter"
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        run(capsys, "enumerate", "--spec", SPEC / "binary_feedback.json")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        code, out, _ = run(capsys, "enumerate", "--spec", SPEC / "binary_feedback.json")
+        assert code == 0 and "code functions" in out
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "gaussian-gap", "--spec",

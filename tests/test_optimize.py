@@ -3,7 +3,9 @@
 Claims:
     - alternating minimization reproduces closed-form capacities, keeps its
       iterates monotone, its reported value re-evaluates at the returned law
-      within 1e-7, and a floor above capacity stops it with a valid bracket
+      within 1e-7, and a floor above capacity stops it with a valid bracket;
+      its lengthened steps close the 1e-9 bracket of near-identical rows in
+      under 1,000 iterations and agree with plain alternating minimization
     - point-to-point: feedback capacity 1 bit/use on the noise-revealing
       channel, (2 - H2(e))/2 without feedback, 1 bit for a clean binary letter;
       on the four-letter feedback BSC 1 - H2(e) with and without feedback,
@@ -15,7 +17,10 @@ Claims:
     - every divergence row bounds its cut at every law, also at laws with
       empty conditioning groups; the reported bracket [value, value + gap] is
       finite and holds the grid optimum, also without single-cut anchors; the
-      result says why the ascent stopped
+      result says why the solver stopped; the fused rows of all cuts equal
+      the per-cut computation to 1e-12, blind entries included; the seeded
+      alphabet-3 relay that the supergradient ascent left at a 3.2e-2 gap
+      certifies at 1e-9
     - relaxed max-min: the batched objective equals the min over cuts of the
       relaxed bound on each law's joint to 1e-12 (directed and input-output
       on random relays and channels, additive-noise, deterministic); it reads
@@ -27,6 +32,7 @@ Claims:
     - support reduction certifies the documented two- and four-tree optima,
       never exceeds the full optimum, and its branch and bound returns the
       support and value of an unpruned exhaustive search
+    - point-to-point and support results say why their run stopped
     - the cardinality budget evaluates to 3 / 4 / 2 on the worked channels
     - exhaustive grids honor caps and tie-break deterministically
 """
@@ -77,7 +83,14 @@ from inblock.optimize import (
 from inblock.probability import FiniteDistribution, binary_entropy
 from inblock.specio import parse_spec
 
-from conftest import channel_spaces, random_channel, random_pa, random_relay_channel
+from conftest import (
+    channel_spaces,
+    per_cut_kl_rows,
+    plain_blahut_arimoto,
+    random_channel,
+    random_pa,
+    random_relay_channel,
+)
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -198,6 +211,32 @@ class TestBlahutArimoto:
             assert value <= capacity + 1e-12 <= value + gap + 2e-12
             assert blahut_arimoto(W, floor=capacity - 1e-3)[0] == capacity
 
+    def test_near_identical_rows_close_fast(self):
+        # plain alternating minimization needs 40,535 steps here
+        W = np.array([[0.82, 0.18], [0.81, 0.19]])
+        value, r, iters, gap = blahut_arimoto(W)
+        # closed form of a 2x2 channel: solve W c = -H(rows), C = log2 sum 2^c
+        c = np.linalg.solve(W, [-binary_entropy(0.82), -binary_entropy(0.81)])
+        assert iters < 1000 and gap < 1e-9
+        assert value == pytest.approx(log2(np.exp2(c).sum()), abs=1e-9)
+        assert mutual_information_of(r, W) == pytest.approx(value, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), spread=st.floats(0.02, 0.3))
+    def test_lengthened_steps_match_plain_steps(self, seed, spread):
+        # rows within ``spread`` of one law: the brackets of the two solvers
+        # meet, and where plain steps certify the values agree within tol
+        rng = np.random.default_rng(seed)
+        outputs = int(rng.integers(2, 5))
+        W = ((1 - spread) * rng.dirichlet(np.ones(outputs))
+             + spread * rng.dirichlet(np.ones(outputs), size=int(rng.integers(2, 6))))
+        value, _, _, gap = blahut_arimoto(W)   # raises if an iterate decreased
+        lower, upper = plain_blahut_arimoto(W, max_iter=3000)
+        assert gap < 1e-9
+        assert value <= upper + 1e-12 and lower <= value + gap + 1e-12
+        if upper - lower < 1e-9:
+            assert value == pytest.approx(lower, abs=1e-9)
+
     def test_degenerate_shapes(self):
         value, r, _, _ = blahut_arimoto(np.array([[0.25, 0.75]]))
         assert value == 0.0
@@ -264,6 +303,14 @@ class TestPointToPoint:
             lambda k, i, xh, z: xh[i - 1][0] if k == 2 else (z if False else SILENT[0]))
         with pytest.raises(SizeError, match="restrict the support"):
             maximize_point_to_point(ch, cap=100)
+
+    def test_results_say_why_they_stopped(self):
+        ch = rewrite_channel(0.1)
+        assert maximize_point_to_point(ch).meta["termination"] == "certified"
+        res = maximize_point_to_point(ch, max_iter=2)
+        assert res.meta["termination"] == "max_iter" and res.gap >= 1e-9
+        sr = support_reduction(ch, 2)
+        assert sr.result.meta["termination"] == "certified"
 
     def test_value_reproducible(self):
         ch = state_addition_channel()
@@ -362,6 +409,52 @@ class TestMaxMinCuts:
             assert at_q[i] <= rows[i][q > 0.0] @ q[q > 0.0] + 1e-9
             assert rows[i][p > 0.0] @ p[p > 0.0] == pytest.approx(at_p[i], abs=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), keep=st.floats(0.0, 1.0),
+           family=st.sampled_from(["L=1", "L=2", "counterexample"]))
+    def test_fused_rows_match_per_cut_rows(self, seed, keep, family):
+        rng = np.random.default_rng(seed)
+        ch = {"L=1": lambda: random_relay_channel(rng, x1=3, y3=3),
+              "L=2": lambda: random_relay_channel(rng, L=2),
+              "counterexample": lambda: causal_relay_counterexample()[0]}[family]()
+        cuts = [frozenset({1}), frozenset({1, 2})]
+        objective = _CutObjective(ch, channel_spaces(ch), cuts)
+        p = sparse_law(rng, objective.n, keep)
+        G, blind = objective.kl_rows(p)
+        want_G, want_blind = per_cut_kl_rows(ch, channel_spaces(ch), cuts, p)
+        assert np.array_equal(blind, want_blind)
+        assert np.abs(G - want_G).max() <= 1e-12
+
+    def test_fused_rows_see_blind_entries(self):
+        # a point mass on one tuple of the deterministic counterexample leaves
+        # other tuples' outputs unseen by their group's law
+        ch = causal_relay_counterexample()[0]
+        cuts = [frozenset({1}), frozenset({1, 2})]
+        objective = _CutObjective(ch, channel_spaces(ch), cuts)
+        seen = 0
+        for j in range(objective.n):
+            p = np.eye(objective.n)[j]
+            G, blind = objective.kl_rows(p)
+            want_G, want_blind = per_cut_kl_rows(ch, channel_spaces(ch), cuts, p)
+            assert np.array_equal(blind, want_blind)
+            assert np.abs(G - want_G).max() <= 1e-12
+            seen += blind.sum()
+        assert seen > 0
+
+    def test_hard_relay_certifies(self):
+        # the seeded alphabet-3 relay the supergradient ascent left at value
+        # 0.30657 with gap 3.2e-2 after 2,000 steps
+        ch = random_relay_channel(np.random.default_rng(3), x1=3, x2=3, y2=3, y3=3)
+        res = maximize_cutset_minimum(relay_session(), ch)
+        assert res.meta["termination"] == "certified" and res.gap <= 1e-9
+        assert res.value >= 0.307814
+        assert res.method == "mirror-prox"
+        joint = joint_distribution(
+            CodeFunctionDistribution(res.meta["spaces"], res.distribution), ch)
+        from inblock.cutset import cut_mutual_information
+        replay = min(cut_mutual_information(joint, S) for S in res.meta["cuts"])
+        assert replay == pytest.approx(res.value, abs=1e-9)
+
     def test_bracket_holds_on_small_relays(self, rng, monkeypatch):
         # [value, value + gap] is finite and holds the grid optimum, also when
         # the single-cut anchors are capped away
@@ -395,8 +488,8 @@ class TestMaxMinCuts:
         assert res.iterations == 5 and res.gap > 1e-9
 
     def test_zero_supergradient_reports_steps_taken(self):
-        # outputs ignore the inputs, so every cut value and supergradient is
-        # zero and the ascent stops before its first step
+        # outputs ignore the inputs, so every cut value and divergence row is
+        # zero and the solver certifies before its first step
         nodes = (NodeSpec(1, ((0, 1),), (SILENT,)),
                  NodeSpec(2, ((0, 1),), ((0, 1),)),
                  NodeSpec(3, (SILENT,), ((0, 1),)))
@@ -430,6 +523,8 @@ class TestMaxMinCuts:
         # the weighted sum is bounded by the sum of single-cut optima
         assert both.value <= (1 - binary_entropy(eps)) / 2 + 0.5 + 1e-9
         assert both.gap >= -1e-12
+        # weights summing to 2 bound the sum itself, not its average
+        assert both.meta["upper_bound"] >= both.value * ch.L - 1e-12
 
     def test_optimality_gap_reported(self):
         ch = state_addition_channel()

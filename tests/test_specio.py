@@ -5,16 +5,26 @@ Claims:
     - the shipped state-addition spec reproduces the embedding exactly,
       kernel row by kernel row
     - the functional form compiles to the same channel as the native builder
-    - malformed rows and missing fields raise errors naming the offending spot
+    - malformed rows and missing fields raise errors naming the offending spot;
+      non-finite numbers, non-object documents and Gaussian sizes that the
+      document does not back are rejected
     - Gaussian specs round-trip through their writer
     - the writer refuses a channel whose nodes read another node's output
+    - fuzzed malformed documents (keys deleted, values replaced by arbitrary
+      JSON including NaN and infinities, non-object documents) either load
+      with finite numbers or raise SpecFormatError, never another exception
 """
 
+import copy
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inblock.catalog import binary_adder_mac, binary_feedback_channel
 from inblock.embeddings import embed_state_channel
@@ -162,8 +172,114 @@ class TestDiagnostics:
         with pytest.raises(SpecFormatError, match="diagonal"):
             parse_gaussian(doc)
 
+    def test_non_finite_numbers_rejected(self):
+        doc = minimal_bsc_doc()
+        doc["channel"]["kernels"][0]["0,0|"] = {"0,0": float("nan"), "0,1": 1.0}
+        with pytest.raises(SpecFormatError, match="finite"):
+            parse_channel(doc)
+        doc = json.loads((SPEC_DIR / "gaussian_link.json").read_text())
+        doc["G"]["2,1"] = [[float("inf")]]
+        with pytest.raises(SpecFormatError, match="finite"):
+            parse_gaussian(doc)
+
+    def test_gaussian_size_bounded_by_the_document(self):
+        # K and L are only numbers in a Gaussian spec; a huge one must fail
+        # before any K-fold or L x L allocation
+        doc = json.loads((SPEC_DIR / "gaussian_link.json").read_text())
+        for field, value, match in (("L", 10 ** 9, "must be 1000000000x1000000000"),
+                                    ("K", 10 ** 12, "K=1000000000000"),
+                                    ("L", 2.5, "L: 2.5 is not an integer")):
+            with pytest.raises(SpecFormatError, match=match):
+                parse_gaussian(dict(doc, **{field: value}))
+        with pytest.raises(SpecFormatError, match="at least one gain"):
+            parse_gaussian(dict(doc, G={}))
+        with pytest.raises(SpecFormatError, match="outside nodes"):
+            parse_gaussian(dict(doc, Q={"7": [[1.0]]}))
+
+    def test_non_object_document_rejected(self, tmp_path):
+        for text in ("[1, 2]", "5", "null", '"G"'):
+            path = tmp_path / "odd.json"
+            path.write_text(text)
+            with pytest.raises(SpecFormatError, match="object"):
+                parse_spec(path)
+
     def test_invalid_json_reported(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(SpecFormatError, match="JSON"):
             parse_spec(bad)
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 12)
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.text(max_size=4)
+                | st.sampled_from(["0", "1", "2", "0,1", "0,0|", "|", "1,0", "-1", "NaN"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3) | st.sampled_from(["0", "1", "0,0|"]),
+                                     inner, max_size=3)),
+    max_leaves=6)
+
+
+def base_documents():
+    docs = [minimal_bsc_doc()]
+    for name in ("binary_feedback", "causal_relay", "gaussian_link"):
+        docs.append(json.loads((SPEC_DIR / f"{name}.json").read_text()))
+    return docs
+
+
+BASE_DOCUMENTS = base_documents()
+
+
+def mutate(doc, data):
+    """Walk a random path into the document, then delete or replace what is
+    there (the root is replaced)."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    for _ in range(data.draw(st.integers(0, 7))):
+        if isinstance(node, dict) and node:
+            k = data.draw(st.sampled_from(sorted(node)))
+        elif isinstance(node, list) and node:
+            k = data.draw(st.integers(0, len(node) - 1))
+        else:
+            break
+        parent, key, node = node, k, node[k]
+    if parent is None:
+        return data.draw(JSON_VALUES)
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(JSON_VALUES)
+    return doc
+
+
+def assert_finite(loaded):
+    if isinstance(loaded, GaussianNetwork):
+        numbers = [loaded.power, *(np.ravel(g) for g in loaded.gains.values()),
+                   *(np.ravel(q) for q in loaded.noise.values())]
+        assert all(np.isfinite(x).all() for x in numbers)
+        return
+    ch, _session = loaded
+    for kernel in ch.kernels:
+        for row in kernel.values():
+            assert all(math.isfinite(p) for p in row.values())
+
+
+class TestFuzzedSpecs:
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.sampled_from(range(len(BASE_DOCUMENTS))), data=st.data())
+    def test_malformed_documents_fail_typed(self, base, data):
+        doc = BASE_DOCUMENTS[base]
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = mutate(doc, data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(doc))
+            try:
+                loaded = parse_spec(path)
+            except SpecFormatError:
+                return
+        assert_finite(loaded)
