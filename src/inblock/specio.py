@@ -81,7 +81,8 @@ def _int(value, where: str, least: int | None = None) -> int:
 def _typed(value, kind: type, where: str):
     """``value`` if it is a ``kind`` (dict or list), else a SpecFormatError."""
     if not isinstance(value, kind):
-        raise SpecFormatError(f"{where}: expected a JSON {kind.__name__}, found {value!r}")
+        name = {dict: "object", list: "array"}[kind]
+        raise SpecFormatError(f"{where}: expected a JSON {name}, found {value!r}")
     return value
 
 

@@ -200,7 +200,7 @@ class TestDiagnostics:
         for text in ("[1, 2]", "5", "null", '"G"'):
             path = tmp_path / "odd.json"
             path.write_text(text)
-            with pytest.raises(SpecFormatError, match="object"):
+            with pytest.raises(SpecFormatError, match="expected a JSON object"):
                 parse_spec(path)
 
     def test_invalid_json_reported(self, tmp_path):
