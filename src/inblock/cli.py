@@ -136,8 +136,7 @@ def cmd_cutset(args) -> RunReport:
         raise InBlockError("spec has no messages; cut bounds need a session")
     report = RunReport("cutset", _digest(args.spec))
     if args.optimize:
-        result = maximize_cutset_minimum(session, ch, cap=args.cap, tol=args.tol,
-                                         seed=args.seed)
+        result = maximize_cutset_minimum(session, ch, cap=args.cap, tol=args.tol)
         report.add("max-min cut value", result.value, "bits/use")
         report.metadata.update(method=result.method,
                                optimality_gap=f"{result.gap:.3e}",
@@ -184,8 +183,7 @@ def cmd_relay(args) -> RunReport:
     if session is None:
         raise InBlockError("spec has no messages; the relay bound needs a session")
     report = RunReport("relay", _digest(args.spec))
-    result = maximize_cutset_minimum(session, ch, cap=args.cap, tol=args.tol,
-                                     seed=args.seed)
+    result = maximize_cutset_minimum(session, ch, cap=args.cap, tol=args.tol)
     report.add("cut bound optimum", result.value, "bits/use")
     spaces = result.meta["spaces"]
     law = CodeFunctionDistribution(spaces, result.distribution)
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-iter", type=int, default=100_000)
     common.add_argument("--cap", type=int, default=10 ** 6,
                         help="code-function enumeration cap")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--all-cuts", action="store_true",
                         help="also report cuts that separate no message")
     spec = argparse.ArgumentParser(add_help=False)

@@ -3,15 +3,16 @@ distributions.
 
 Point-to-point capacity is alternating minimization on the code-function
 channel P(y^L | a^L), with steps lengthened while they raise the value, and
-the standard upper/lower bracket.  The exact max-min over cuts is the saddle
-point of the cut-weighted sum, solved by entropic mirror-prox on the tree-law
-and cut-law simplices, with the exact single-cut optimizers (conditioned
-alternating minimization per complement tuple) as further candidates; the
-divergence rows of all cuts, computed in one pass, bound the optimum at every
-law evaluated, and the solver stops once that bound or the single-cut one is
-within tolerance of the best value.  The relaxed max-min
-rolls every tuple out once and scores its laws in batches, each entropy one
-product of the laws with a tuple-to-marginal map.  Support reduction
+the standard upper/lower bracket.  The max-min over cuts, for the exact cut
+value and for every relaxation, is the saddle point of the cut-weighted sum,
+solved by entropic mirror-prox on the tree-law and cut-law simplices, with
+each cut's own maximizer (a lengthened multiplicative ascent on its row) as a
+further candidate.  Each kind gives rows that bound every cut from above at
+every law evaluated: the divergence rows of all exact cuts, computed in one
+pass, or the tangent rows of the relaxed cuts, each compiled once into
+entropies of products of the law with tuple-to-marginal maps.  The solver
+stops once that bound or the single-cut one is within tolerance of the best
+value, or after its step budget.  Support reduction
 searches supports up to a cardinality budget, exhaustively when feasible, with
 each candidate's alternating minimization stopped once its upper end cannot
 beat the best value found (branch and bound), and by greedy pruning with
@@ -22,16 +23,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, prod, sqrt
+from math import comb, prod
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .cutset import EXACT, WEAKENED_KINDS, enumerate_cuts, weakened_bound
-from .errors import InvalidDistributionError, ShapeError, SizeError
+from .errors import ShapeError, SizeError
 from .model import (
     DEFAULT_ENUMERATION_CAP,
-    ROLLOUT_CHUNK,
     BlockChannel,
     CodeFunction,
     NetworkSession,
@@ -42,7 +42,7 @@ from .model import (
     roll_tuples,
     tree_tables,
 )
-from .probability import MAX_CELLS, PROB_TOL, JointBlockDistribution
+from .probability import MAX_CELLS, JointBlockDistribution
 
 BA_TOL = 1e-9
 BA_MAX_ITER = 100_000
@@ -50,6 +50,8 @@ MIRROR_STEP = 4.0           # first mirror-prox step (exponent in bits per bit)
 CHECK_EVERY = 10            # mirror-prox steps between evaluations of the average
 STALE_CHECKS = 40           # checks without a smaller gap before the step halves
 CUT_LAW_FLOOR = 1e-6        # least weight of a cut, so none underflows for good
+LAW_FLOOR = np.finfo(float).tiny  # least tuple weight in a single-cut ascent
+ROUNDING = 1e-15            # a fall in a cut's value this small is rounding
 
 
 @dataclass
@@ -58,7 +60,7 @@ class OptimizationResult:
     distribution: np.ndarray | None
     iterations: int
     gap: float
-    method: str                       # "ba" | "mirror-prox" | "subgradient" | "grid"
+    method: str                       # "ba" | "mirror-prox" | "grid" (grid_maximize)
     meta: dict = field(default_factory=dict)
 
 
@@ -230,11 +232,30 @@ def simplex_grid(dim: int, resolution: int):
 
 # -- max-min cut optimization ---------------------------------------------------
 
-class _CutObjective:
+class _Objective:
+    """The cuts of a max-min over tree-tuple laws, with their weights when the
+    max-min is scalarized.  Subclasses give ``kl_rows(p)``: per cut i a row
+    G_i with f_i(q) <= G_i @ q for every law q, in bits per block, and the
+    entries where that row is +inf (blind)."""
+
+    def __init__(self, spaces: Sequence[Sequence[CodeFunction]],
+                 cuts: Sequence[frozenset], weights: Sequence[float] | None):
+        self.sizes = tuple(len(s) for s in spaces)
+        self.n = prod(self.sizes)
+        self.cuts = list(cuts)
+        self.weights = None if weights is None else np.asarray(weights, dtype=float)
+
+    def combine(self, values: np.ndarray) -> float:
+        if self.weights is not None:
+            return float(self.weights @ values)
+        return float(values.min())
+
+
+class _CutObjective(_Objective):
     """min (or weighted sum) over cuts of I(A_S ; Y_{S^c} | A_{S^c}), with the
     per-tuple divergence rows that bound each cut from above.
 
-    Every cut's tuple-to-output matrix is also kept flat, one entry per
+    Every cut's tuple-to-output matrix is kept flat, one entry per
     positive (cut, tuple, output) probability pointing at its (cut,
     conditioning group, output) cell, so that one pass of ``np.bincount``
     gives the rows of all cuts."""
@@ -242,15 +263,12 @@ class _CutObjective:
     def __init__(self, ch: BlockChannel, spaces: Sequence[Sequence[CodeFunction]],
                  cuts: Sequence[frozenset],
                  weights: Sequence[float] | None = None):
-        self.sizes = tuple(len(s) for s in spaces)
-        self.n = prod(self.sizes)
-        self.cuts = list(cuts)
-        self.weights = None if weights is None else np.asarray(weights, dtype=float)
+        super().__init__(spaces, cuts, weights)
         # Roll each tuple out once; a cut sums out its own nodes' output slots.
         full = tuple_channel_matrix(ch, spaces, range(1, ch.K + 1)).reshape(
             self.n, *(len(ch.output_alphabet(k, i)) for k in range(1, ch.K + 1)
                       for i in range(1, ch.L + 1)))
-        self.matrices = []                  # per cut: (tuples x outputs, group ids)
+        matrices = []                       # per cut: tuples x outputs
         row, cell, cell_group, shared = [], [], [], []
         cells = groups = 0
         for c, S in enumerate(self.cuts):
@@ -264,7 +282,7 @@ class _CutObjective:
             n_groups, m = prod(shape), W.shape[-1]
             gid = np.broadcast_to(np.arange(n_groups).reshape(shape), self.sizes).ravel()
             W = W.reshape(self.n, m)
-            self.matrices.append((W, gid))
+            matrices.append(W)
             j, y = np.nonzero(W)
             row.append(c * self.n + j)
             cell.append(cells + gid[j] * m + y)
@@ -273,7 +291,7 @@ class _CutObjective:
         self._row, self._cell, self._cell_group, self._shared = (
             np.concatenate(a) for a in (row, cell, cell_group, shared))
         self._tuple = self._row % self.n
-        self._w = np.concatenate([W[W > 0.0] for W, _ in self.matrices])
+        self._w = np.concatenate([W[W > 0.0] for W in matrices])
         self._logw = np.log2(self._w)
 
     def kl_rows(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,10 +309,112 @@ class _CutObjective:
         blind = np.bincount(self._row, ref <= 0.0, minlength=size) > 0.0
         return G.reshape(-1, self.n), blind.reshape(-1, self.n)
 
-    def combine(self, values: np.ndarray) -> float:
-        if self.weights is not None:
-            return float(self.weights @ values)
-        return float(values.min())
+
+class _EntropySum:
+    """const + sum over axis sets of coef * H(marginal on those axes): the form
+    of every relaxed cut expression before a law is chosen."""
+
+    def __init__(self, coef: dict, const: float = 0.0):
+        self.coef, self.const = coef, const
+
+    def __add__(self, other):
+        if not isinstance(other, _EntropySum):
+            return _EntropySum(self.coef, self.const + other)
+        coef = dict(self.coef)
+        for axes, c in other.coef.items():
+            coef[axes] = coef.get(axes, 0.0) + c
+        return _EntropySum(coef, self.const + other.const)
+
+    __radd__ = __add__
+
+    def __mul__(self, s: float):
+        return _EntropySum({axes: c * s for axes, c in self.coef.items()}, self.const * s)
+
+    def __sub__(self, other):
+        return self + other * -1.0
+
+    def __rsub__(self, other):
+        return self * -1.0 + other
+
+    def __truediv__(self, s: float):
+        return _EntropySum({axes: c / s for axes, c in self.coef.items()}, self.const / s)
+
+
+class _TuplePaths:
+    """Every tree tuple rolled through the block once: per path its tuple, its
+    coordinates in the block joint and its probability, with the
+    tuple-to-marginal maps built from them.  The cut evaluators read it as a
+    joint whose ``entropy(names)`` is the symbolic ``_EntropySum`` of one
+    marginal."""
+
+    axis = JointBlockDistribution.axis
+    select = JointBlockDistribution.select
+    horizon = JointBlockDistribution.horizon
+
+    def __init__(self, ch: BlockChannel, spaces: Sequence[Sequence[CodeFunction]]):
+        trees = tree_tables(ch, spaces)
+        self.variables = joint_variables(ch, trees)
+        self._index = {v.name: i for i, v in enumerate(self.variables)}
+        self.meta = {"channel": ch, "L": ch.L}
+        self.shape = tuple(len(v.alphabet) for v in self.variables)
+        self.n = prod(len(s) for s in spaces)
+        self.owner, cell, self.prob = (np.concatenate(a) for a in
+                                       zip(*joint_paths(ch, trees, np.arange(self.n))))
+        self.coords = np.unravel_index(cell, self.shape)
+
+    def entropy(self, names: Iterable[str]) -> _EntropySum | float:
+        axes = frozenset(self.axis(n) for n in names)
+        return _EntropySum({axes: 1.0}) if axes else 0.0
+
+    def marginal_map(self, axes: frozenset) -> np.ndarray:
+        """tuples x marginal cells: each tuple's law of the variables at
+        ``axes``, cells in C order over those axes in table order."""
+        keep = sorted(axes)
+        shape = [self.shape[a] for a in keep]
+        cells = prod(shape)
+        if self.n * cells > MAX_CELLS:
+            raise SizeError(f"marginal map would need {self.n * cells} cells "
+                            f"(cap {MAX_CELLS})")
+        col = np.ravel_multi_index([self.coords[a] for a in keep], shape)
+        return np.bincount(self.owner * cells + col, self.prob,
+                           minlength=self.n * cells).reshape(self.n, cells)
+
+
+class _RelaxedObjective(_Objective):
+    """min (or weighted sum) over cuts of one relaxed cut expression, with its
+    tangent rows.
+
+    Each cut is compiled once, by running ``cutset.weakened_bound`` on the
+    rolled-out tuples: f_i(p) = c_i + sum_k C_ik H(p @ M_k), with M_k the
+    tuple-to-marginal maps, stacked side by side into one matrix M.  The
+    tangent row f(p) + grad f(p) . (e_j - p) is then c_i + sum_k C_ik h_kj
+    with h_k = -M_k log2(p @ M_k), since grad H_k = h_k - log2 e and
+    h_k @ p = H_k(p).  An entry is blind where a cell that the tuple reaches
+    has no mass.  The rows bound f_i wherever f_i is concave."""
+
+    def __init__(self, ch: BlockChannel, spaces: Sequence[Sequence[CodeFunction]],
+                 cuts: Sequence[frozenset], kind: str,
+                 weights: Sequence[float] | None = None):
+        super().__init__(spaces, cuts, weights)
+        paths = _TuplePaths(ch, spaces)
+        sums = [weakened_bound(paths, S, kind) * ch.L for S in self.cuts]
+        terms = sorted({axes for s in sums for axes, c in s.coef.items() if c != 0.0},
+                       key=sorted)
+        maps = [paths.marginal_map(axes) for axes in terms]
+        self._map = np.hstack(maps)
+        term = np.repeat(np.arange(len(terms)), [m.shape[1] for m in maps])
+        coef = np.array([[s.coef.get(axes, 0.0) for axes in terms] for s in sums])
+        self._coef = coef[:, term].T          # marginal cells x cuts
+        self._const = np.array([s.const for s in sums])
+
+    def kl_rows(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        P = p @ self._map
+        empty = P <= 0.0
+        logP = np.log2(P, out=np.zeros(len(P)), where=~empty)
+        G = self._const[:, None] - (self._map @ (self._coef * logP[:, None])).T
+        if not empty.any():
+            return G, np.zeros(G.shape, dtype=bool)
+        return G, (self._map @ ((self._coef != 0.0) & empty[:, None])).T > 0.0
 
 
 def _dual_bound(G: np.ndarray, blind: np.ndarray, duals) -> float:
@@ -312,39 +432,46 @@ def _tilt(x: np.ndarray, s: np.ndarray, floor=0.0) -> np.ndarray:
     return x / x.sum()
 
 
-def _single_cut_anchors(objective: _CutObjective, *, conditioning_cap: int = 512,
-                        tol: float = BA_TOL):
-    """Exact optimizers of each cut alone: best conditioning tuple + inner capacity.
+def _cut_ascents(objective: _Objective, *, tol: float):
+    """Each cut alone, maximized from the uniform law by the lengthened
+    multiplicative step p <- p * 2^(mu (G_i - max G_i)) on its own row.
 
-    For one cut, max over joint laws of I(A_S;Y|A_{S^c}) is attained by a point
-    mass on the best complement tuple, so the largest BA upper end over those
-    tuples bounds that cut's optimum; their min (or weighted sum) bounds the
-    composite one.  A cut with over ``conditioning_cap`` such tuples is skipped
-    and bounded by +inf.
+    mu grows by half while the cut's value rises; a step that would lower it
+    by more than rounding is retried at a quarter of mu (with no floor, since
+    the rows need not be alternating minimization's).  No weight falls below
+    ``LAW_FLOOR``, so a tuple whose row entry later leads can regain mass.  A
+    cut stops once max_j G_ij is within ``tol`` of its value, once a step
+    leaves the law unchanged, or after ``BA_MAX_ITER`` steps.  The least
+    max_j G_ij seen bounds that cut's optimum, so the least of those (or their
+    weighted sum) bounds the max-min.  Returns the final laws and that bound.
     """
     anchors, uppers = [], []
-    for W, gid in objective.matrices:
-        n_groups = gid[-1] + 1
-        if n_groups > conditioning_cap:
-            uppers.append(np.inf)
-            continue
-        best, upper = (-np.inf, None), -np.inf
-        for g in range(n_groups):
-            rows = np.nonzero(gid == g)[0]
-            value, r, _, gap = blahut_arimoto(W[rows], tol=tol)
-            upper = max(upper, value + gap)
-            if value > best[0]:
-                p = np.zeros(objective.n)
-                p[rows] = r
-                best = (value, p)
-        anchors.append(best[1])
+    for i in range(len(objective.cuts)):
+        p = np.full(objective.n, 1.0 / objective.n)
+        G, blind = objective.kl_rows(p)
+        value, upper = float(G[i] @ p), np.inf
+        mu, it = 1.0, 1
+        while True:
+            upper = min(upper, float(np.where(blind[i], np.inf, G[i]).max()))
+            if upper - value <= tol or it >= BA_MAX_ITER:
+                break
+            q = _tilt(p, mu * G[i], LAW_FLOOR)
+            if np.array_equal(q, p):
+                break
+            G_q, blind_q = objective.kl_rows(q)
+            it += 1
+            if G_q[i] @ q < value - ROUNDING:
+                mu /= 4.0
+                continue
+            p, G, blind, value, mu = q, G_q, blind_q, float(G_q[i] @ q), mu * 1.5
+        anchors.append(p)
         uppers.append(upper)
     if objective.weights is None:
         return anchors, min(uppers)
     return anchors, sum(w * u for w, u in zip(objective.weights, uppers) if w > 0.0)
 
 
-def _mirror_prox(objective: _CutObjective, starts: Sequence[np.ndarray], upper: float,
+def _mirror_prox(objective: _Objective, starts: Sequence[np.ndarray], upper: float,
                  *, tol: float, iterations: int):
     """Entropic mirror-prox on min over cut laws lam of max over tuple laws p
     of sum_i lam_i f_i(p) from uniform p and lam (lam held at the weights of
@@ -405,38 +532,30 @@ def _mirror_prox(objective: _CutObjective, starts: Sequence[np.ndarray], upper: 
 
 
 def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
-                            kind: str = "exact",
+                            kind: str = EXACT,
                             cut_weights=None,
                             spaces: Sequence[Sequence[CodeFunction]] | None = None,
                             iterations: int = 2000,
-                            seed: int = 0,
                             cap: int = DEFAULT_ENUMERATION_CAP,
-                            tol: float = BA_TOL,
-                            grid_dim_cap: int = 6,
-                            grid_points_cap: int = 10_000) -> OptimizationResult:
+                            tol: float = BA_TOL) -> OptimizationResult:
     """Maximize min over message-separating cuts of the chosen cut value.
 
-    The exact objective is concave, so its max-min is the saddle value
-    min over cut laws lam of max over dependent tree-tuple laws p of
-    sum_i lam_i f_i(p), found by entropic mirror-prox on both simplices from
-    the uniform laws, with the exact single-cut optimizers as further
-    candidates.  At every law evaluated the cut rows G satisfy
-    f_i(q) <= G_i @ q for every law q, so max_j (lam^T G)_j bounds the
+    Every cut kind (``cutset.EXACT`` or one of ``cutset.WEAKENED_KINDS``) is
+    concave in the dependent tree-tuple law p, so the max-min is the saddle
+    value min over cut laws lam of max over p of sum_i lam_i f_i(p), found by
+    entropic mirror-prox on both simplices from the uniform laws, with each
+    cut's own maximizer (a lengthened multiplicative ascent on its row) as a
+    further candidate.  At every law evaluated the cut rows G satisfy
+    f_i(q) <= G_i @ q for every law q: divergence rows for the exact kind,
+    tangent rows for the relaxed ones.  So max_j (lam^T G)_j bounds the
     optimum for any cut law lam.  The solver keeps the least such bound and
-    the single-cut one, and stops once it is within ``tol`` of the best value
-    (``meta["termination"]``: "certified", or "max_iter" after ``iterations``
-    steps).  Multi-message sessions have a region rather than a scalar; pass
-    ``cut_weights`` (a map cut -> weight) to maximize the weighted-sum
+    the single-cut one, and stops once it is within ``tol`` (bits per block)
+    of the best value (``meta["termination"]``: "certified", or "max_iter"
+    after ``iterations`` mirror-prox steps; the result's ``iterations`` counts
+    those steps).  Multi-message sessions have a region rather than a scalar;
+    pass ``cut_weights`` (a map cut -> weight) to maximize the weighted-sum
     scalarization instead (also concave, with lam held at the weights; no
-    claim that sweeping weights traces the whole region boundary).  The
-    relaxed kinds (``cutset.WEAKENED_KINDS``) use forward-difference ascent
-    with restarts and, on tuple spaces of at most ``grid_dim_cap`` tuples, a
-    simplex grid of at most ``grid_points_cap`` points, with no concavity
-    certificate (``meta["termination"]`` is "budget").  ``iterations`` and
-    ``tol`` apply to the exact kind only, ``grid_dim_cap`` and
-    ``grid_points_cap`` to the relaxed kinds only.  The result's
-    ``iterations`` counts mirror-prox steps for the exact kind and laws scored
-    for the relaxed kinds.
+    claim that sweeping weights traces the whole region boundary).
     """
     if kind != EXACT and kind not in WEAKENED_KINDS:
         raise ShapeError(f"unknown cut kind {kind!r}; pick one of "
@@ -460,14 +579,9 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
             raise ShapeError("cut weights must be nonnegative")
     if spaces is None:
         spaces = [enumerate_code_functions(n, cap=cap) for n in ch.nodes]
-    if kind != EXACT:
-        if weights is not None:
-            raise ShapeError("cut_weights is only supported for the exact kind")
-        return _maximize_weakened_minimum(
-            ch, spaces, cuts, kind, seed=seed,
-            grid_dim_cap=grid_dim_cap, grid_points_cap=grid_points_cap)
-    objective = _CutObjective(ch, spaces, cuts, weights)
-    anchors, upper = _single_cut_anchors(objective, tol=tol)
+    objective = (_CutObjective(ch, spaces, cuts, weights) if kind == EXACT
+                 else _RelaxedObjective(ch, spaces, cuts, kind, weights))
+    anchors, upper = _cut_ascents(objective, tol=tol)
     value, p, steps, upper = _mirror_prox(objective, anchors, upper,
                                           tol=tol, iterations=iterations)
     return OptimizationResult(
@@ -476,139 +590,6 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
         method="mirror-prox",
         meta={"cuts": cuts, "upper_bound": upper,
               "termination": "certified" if upper - value <= tol else "max_iter",
-              "spaces": tuple(tuple(s) for s in spaces)})
-
-
-class _TuplePaths:
-    """Every tree tuple rolled through the block once: per path its tuple, its
-    coordinates in the block joint and its probability, with the
-    tuple-to-marginal maps built from them."""
-
-    def __init__(self, ch: BlockChannel, spaces: Sequence[Sequence[CodeFunction]]):
-        trees = tree_tables(ch, spaces)
-        self.variables = joint_variables(ch, trees)
-        self.index = {v.name: i for i, v in enumerate(self.variables)}
-        self.meta = {"channel": ch, "L": ch.L}
-        self.shape = tuple(len(v.alphabet) for v in self.variables)
-        self.n = prod(len(s) for s in spaces)
-        self.owner, cell, self.prob = (np.concatenate(a) for a in
-                                       zip(*joint_paths(ch, trees, np.arange(self.n))))
-        self.coords = np.unravel_index(cell, self.shape)
-        self._maps: dict[frozenset, np.ndarray] = {}
-
-    def marginal_map(self, axes: frozenset) -> np.ndarray:
-        """tuples x marginal cells: each tuple's law of the variables at
-        ``axes``, cells in C order over those axes in table order."""
-        if axes not in self._maps:
-            keep = sorted(axes)
-            shape = [self.shape[a] for a in keep]
-            cells = prod(shape)
-            if self.n * cells > MAX_CELLS:
-                raise SizeError(f"marginal map would need {self.n * cells} cells "
-                                f"(cap {MAX_CELLS})")
-            col = np.ravel_multi_index([self.coords[a] for a in keep], shape)
-            self._maps[axes] = np.bincount(self.owner * cells + col, self.prob,
-                                           minlength=self.n * cells).reshape(self.n, cells)
-        return self._maps[axes]
-
-
-class _LawBatch:
-    """The block joints of a batch of tuple laws, as the cut evaluators read
-    a joint: ``entropy(names)`` gives one value per law, from ``laws @ M``
-    with M the tuple-to-marginal map of that variable set."""
-
-    axis = JointBlockDistribution.axis
-    select = JointBlockDistribution.select
-    horizon = JointBlockDistribution.horizon
-
-    def __init__(self, paths: _TuplePaths, laws: np.ndarray):
-        self.variables, self.meta, self._index = paths.variables, paths.meta, paths.index
-        self._paths, self._laws = paths, laws
-        self._cache: dict[frozenset, np.ndarray] = {}
-
-    def entropy(self, names: Iterable[str]) -> np.ndarray:
-        axes = frozenset(self.axis(n) for n in names)
-        if axes not in self._cache:
-            if not axes:
-                self._cache[axes] = np.zeros(len(self._laws))
-            else:
-                P = self._laws @ self._paths.marginal_map(axes)
-                logP = np.log2(np.where(P > 0.0, P, 1.0))
-                self._cache[axes] = -(P * logP).sum(axis=1)
-        return self._cache[axes]
-
-
-def _weakened_minimum(paths: _TuplePaths, laws: np.ndarray, cuts: Sequence[frozenset],
-                      kind: str) -> np.ndarray:
-    """min over the cuts of the relaxed cut value, bits per use, at each law
-    (a row of ``laws`` over the tuples, negative weights read as zero)."""
-    laws = np.maximum(laws, 0.0)
-    if np.abs(laws.sum(axis=1) - 1.0).max() > PROB_TOL:
-        raise InvalidDistributionError("code-function weights are not a distribution")
-    batch = _LawBatch(paths, laws)
-    return np.min([weakened_bound(batch, S, kind) for S in cuts], axis=0)
-
-
-def _maximize_weakened_minimum(ch, spaces, cuts, kind, *, seed=0,
-                               iterations: int = 60, restarts: int = 3,
-                               step_scale: float = 0.5,
-                               grid_dim_cap: int,
-                               grid_points_cap: int) -> OptimizationResult:
-    """Ascent on a relaxed min-cut objective without a concavity certificate.
-
-    The tuples are rolled out once; each batch of laws (a step's
-    forward-difference probes, a slice of the grid) is scored together.
-    """
-    sizes = tuple(len(s) for s in spaces)
-    paths = _TuplePaths(ch, spaces)
-    n = paths.n
-    evaluations = 0
-
-    def f(laws):
-        nonlocal evaluations
-        evaluations += len(laws)
-        return _weakened_minimum(paths, laws, cuts, kind)
-
-    rng = np.random.default_rng(seed)
-    starts = [np.full(n, 1.0 / n)]
-    starts += [rng.dirichlet(np.ones(n)) for _ in range(restarts)]
-    best_value, best_p = -np.inf, starts[0]
-    delta = 1e-4
-    for p in starts:
-        value = f(p[None, :])[0]
-        if value > best_value:
-            best_value, best_p = value, p.copy()
-        for t in range(1, iterations + 1):
-            probes = np.tile((1.0 - delta) * p, (n, 1))
-            probes[np.arange(n), np.arange(n)] += delta
-            g = (f(probes) - value) / delta
-            scale = np.abs(g).max()
-            if scale <= 1e-12:
-                break
-            p = project_to_simplex(p + (step_scale / sqrt(t)) * g / scale)
-            value = f(p[None, :])[0]
-            if value > best_value:
-                best_value, best_p = value, p.copy()
-    method = "subgradient"
-    grid_points = 0
-    if n <= grid_dim_cap:
-        resolution = 1
-        while (resolution < 100
-               and comb(resolution + n, n - 1) <= grid_points_cap):
-            resolution += 1
-        points = simplex_grid(n, resolution)
-        for first in points:
-            Q = np.array([first, *itertools.islice(points, ROLLOUT_CHUNK - 1)])
-            values = f(Q)
-            grid_points += len(Q)
-            j = int(np.argmax(values))
-            if values[j] > best_value:
-                best_value, best_p, method = values[j], Q[j], "grid"
-    return OptimizationResult(
-        value=float(best_value), distribution=best_p.reshape(sizes),
-        iterations=evaluations, gap=float("nan"), method=method,
-        meta={"cuts": cuts, "kind": kind, "concavity_certified": False,
-              "termination": "budget", "grid_points": grid_points,
               "spaces": tuple(tuple(s) for s in spaces)})
 
 
