@@ -10,9 +10,9 @@ each cut's own maximizer (a lengthened multiplicative ascent on its row) as a
 further candidate.  Each kind gives rows that bound every cut from above at
 every law evaluated: the divergence rows of all exact cuts, computed in one
 pass, or the tangent rows of the relaxed cuts, each compiled once into
-entropies of products of the law with tuple-to-marginal maps.  The solver
-stops once that bound or the single-cut one is within tolerance of the best
-value, or after its step budget.  Support reduction
+entropies of products of the law with tuple-to-marginal maps.  For every kind
+the solver stops once that bound or the single-cut one is within ``tol`` of
+the best value, or after ``iterations`` mirror-prox steps.  Support reduction
 searches supports up to a cardinality budget, exhaustively when feasible, with
 each candidate's alternating minimization stopped once its upper end cannot
 beat the best value found (branch and bound), and by greedy pruning with
@@ -549,10 +549,10 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
     f_i(q) <= G_i @ q for every law q: divergence rows for the exact kind,
     tangent rows for the relaxed ones.  So max_j (lam^T G)_j bounds the
     optimum for any cut law lam.  The solver keeps the least such bound and
-    the single-cut one, and stops once it is within ``tol`` (bits per block)
-    of the best value (``meta["termination"]``: "certified", or "max_iter"
-    after ``iterations`` mirror-prox steps; the result's ``iterations`` counts
-    those steps).  Multi-message sessions have a region rather than a scalar;
+    the single-cut one, and for every kind stops once it is within ``tol``
+    (bits per block) of the best value (``meta["termination"]``:
+    "certified", or "max_iter" after ``iterations`` mirror-prox steps; the
+    result's ``iterations`` counts those steps).  Multi-message sessions have a region rather than a scalar;
     pass ``cut_weights`` (a map cut -> weight) to maximize the weighted-sum
     scalarization instead (also concave, with lam held at the weights; no
     claim that sweeping weights traces the whole region boundary).
