@@ -9,6 +9,10 @@ channel input.  A node's feedback is its own output string unless its
 ``NodeSpec.feedback`` names another node whose output string it reads; that is
 how shared-output channels, such as the multiaccess channel whose receiver
 output is fed back to every sender, fit the same model, rollout and joint.
+A node's full space of trees is a ``TreeSpace``: the Cartesian product of its
+per-time component lists in lexicographic order, so a tree's component at each
+time is a mixed-radix digit of its position.  ``tree_tables`` reads those
+digits arithmetically, and a ``CodeFunction`` is built only for a tree read.
 
 Every rollout runs on one array engine, ``roll_tuples``, which moves a chunk
 of tree tuples through the block as a frontier of arrays.  At each time every
@@ -185,9 +189,39 @@ def code_function_count(inputs: Sequence[tuple], feedbacks: Sequence[tuple]) -> 
     return total
 
 
+@dataclass(frozen=True)
+class TreeSpace(Sequence[CodeFunction]):
+    """All code trees of a node, held as their per-time component lists in
+    lexicographic order; a tree is built (and validated) only when it is read.
+    Spaces compare and hash by (node, inputs, feedbacks)."""
+
+    node: int
+    inputs: tuple[tuple, ...]
+    feedbacks: tuple[tuple, ...]
+
+    @cached_property
+    def components(self) -> tuple[tuple, ...]:
+        return tuple(tuple(itertools.product(
+            sorted_alphabet(x), repeat=prod(len(a) for a in self.feedbacks[:i])))
+            for i, x in enumerate(self.inputs))
+
+    def __len__(self) -> int:
+        return prod(map(len, self.components))
+
+    def __getitem__(self, j) -> CodeFunction:
+        j = range(len(self))[j]   # negative and numpy indices; IndexError outside
+        digits = np.unravel_index(j, [len(c) for c in self.components])
+        return CodeFunction(self.node, self.inputs, self.feedbacks,
+                            tuple(c[d] for c, d in zip(self.components, digits)))
+
+    def __iter__(self):
+        return (CodeFunction(self.node, self.inputs, self.feedbacks, tables)
+                for tables in itertools.product(*self.components))
+
+
 def enumerate_maps(inputs: Sequence[tuple], feedbacks: Sequence[tuple], *,
                    node: int = 0,
-                   cap: int = DEFAULT_ENUMERATION_CAP) -> list[CodeFunction]:
+                   cap: int = DEFAULT_ENUMERATION_CAP) -> TreeSpace:
     """All code functions, lexicographic over (time, history) with sorted labels."""
     inputs = tuple(tuple(a) for a in inputs)
     feedbacks = tuple(tuple(a) for a in feedbacks)
@@ -196,16 +230,11 @@ def enumerate_maps(inputs: Sequence[tuple], feedbacks: Sequence[tuple], *,
         raise SizeError(
             f"node {node}: {count} code functions exceed the cap of {cap}; "
             "raise the cap or restrict the support")
-    per_time = []
-    for i, x in enumerate(inputs):
-        n_hist = prod(len(a) for a in feedbacks[:i])
-        per_time.append(list(itertools.product(sorted_alphabet(x), repeat=n_hist)))
-    return [CodeFunction(node, inputs, feedbacks, tables)
-            for tables in itertools.product(*per_time)]
+    return TreeSpace(node, inputs, feedbacks)
 
 
 def enumerate_code_functions(node: NodeSpec, *,
-                             cap: int = DEFAULT_ENUMERATION_CAP) -> list[CodeFunction]:
+                             cap: int = DEFAULT_ENUMERATION_CAP) -> TreeSpace:
     """All code trees of a node over its feedback alphabets."""
     return enumerate_maps(node.inputs, node.feedback_alphabets, node=node.node, cap=cap)
 
@@ -428,20 +457,29 @@ def tree_tables(ch: BlockChannel,
     out = []
     for node, space in zip(ch.nodes, spaces):
         inputs, feedbacks = node.inputs, node.feedback_alphabets
-        if any(cf.inputs != inputs or cf.feedbacks != feedbacks for cf in space):
+        full = isinstance(space, TreeSpace)   # carries its trees' alphabets
+        if any(cf.inputs != inputs or cf.feedbacks != feedbacks
+               for cf in ([space] if full else space)):
             raise ShapeError(f"node {node.node}: code functions over other alphabets "
                              "than the node's inputs and feedback")
-        levels = [cf.tables for cf in space]
+        levels = None if full else [cf.tables for cf in space]
+        stride = len(space)
         per_time = []
         for i, alphabet in enumerate(inputs):
-            column = list(map(itemgetter(i), levels))
-            components = {c: j for j, c in enumerate(dict.fromkeys(column))}
-            index = np.fromiter(map(components.__getitem__, column), dtype=np.int32,
-                                count=len(column))
+            if full:   # the mixed-radix digit of every tree's position
+                components = space.components[i]
+                stride //= len(components)
+                index = (np.arange(len(space)) // stride % len(components)).astype(np.int32)
+            else:
+                column = list(map(itemgetter(i), levels))
+                position = {c: j for j, c in enumerate(dict.fromkeys(column))}
+                index = np.fromiter(map(position.__getitem__, column), dtype=np.int32,
+                                    count=len(column))
+                components = tuple(position)
             letter = {x: j for j, x in enumerate(alphabet)}
             table = np.array([[letter[x] for x in c] for c in components], dtype=np.int32)
             n_hist = prod(len(a) for a in feedbacks[:i])
-            per_time.append(TreeLevel(index, tuple(components), table.reshape(-1, n_hist)))
+            per_time.append(TreeLevel(index, components, table.reshape(-1, n_hist)))
         out.append(per_time)
     return out
 
@@ -527,7 +565,7 @@ class CodeFunctionDistribution:
 
     def __init__(self, spaces: Sequence[Sequence[CodeFunction]], probs: np.ndarray,
                  *, product_form: bool = False):
-        self.spaces = tuple(tuple(s) for s in spaces)
+        self.spaces = tuple(s if isinstance(s, TreeSpace) else tuple(s) for s in spaces)
         probs = np.asarray(probs, dtype=float)
         shape = tuple(len(s) for s in self.spaces)
         if probs.shape != shape:

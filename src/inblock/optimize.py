@@ -103,8 +103,8 @@ def blahut_arimoto(W: np.ndarray, *, tol: float = BA_TOL,
 
     # mu = 0 from any D is the uniform law itself; mu = 1 is the plain
     # alternating-minimization step, which never lowers the value.  mu grows
-    # while its steps raise the value; a step that would lower it is retried
-    # at a quarter of mu, down to 1.
+    # while its steps raise the value; a step that would lower it by more than
+    # rounding is retried at a quarter of mu, down to 1.
     r, D, lower = step(np.full(m, 1.0 / m), np.zeros(m), 0.0)
     mu, it = 1.0, 1
     while True:
@@ -113,7 +113,7 @@ def blahut_arimoto(W: np.ndarray, *, tol: float = BA_TOL,
             return lower, r, it, upper - lower
         next_r, next_D, value = step(r, D, mu)
         it += 1
-        while value < lower and mu > 1.0:
+        while value < lower - ROUNDING and mu > 1.0:
             mu = max(1.0, mu / 4.0)
             next_r, next_D, value = step(r, D, mu)
             it += 1
@@ -183,7 +183,7 @@ def maximize_point_to_point(ch: BlockChannel, *, feedback: bool = True,
     value, r, iters, gap = blahut_arimoto(W, tol=tol, max_iter=max_iter)
     return OptimizationResult(
         value=value / ch.L, distribution=r, iterations=iters, gap=gap / ch.L,
-        method="ba", meta={"trees": tuple(trees), "feedback": feedback,
+        method="ba", meta={"trees": trees, "feedback": feedback,
                            "bits_per_block": value,
                            "termination": _ba_termination(gap, iters, tol, max_iter)})
 
@@ -590,7 +590,7 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
         method="mirror-prox",
         meta={"cuts": cuts, "upper_bound": upper,
               "termination": "certified" if upper - value <= tol else "max_iter",
-              "spaces": tuple(tuple(s) for s in spaces)})
+              "spaces": tuple(spaces)})
 
 
 # -- support reduction ----------------------------------------------------------

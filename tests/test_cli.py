@@ -7,6 +7,8 @@ Claims:
     - the max-min and capacity commands say why the optimizer stopped, in
       text and json
     - the argument parser is built once per process
+    - ``enumerate --list`` prints every tree of a spec with feedback in the
+      canonical order
     - reruns with the same seed reproduce the report verbatim
     - bad inputs exit nonzero with a message on stderr
 """
@@ -82,6 +84,26 @@ class TestCommands:
         code, out, _ = run(capsys, "enumerate", "--spec", SPEC / "state_addition.json")
         assert code == 0
         assert "node 1 code functions" in out
+
+    def test_enumerate_list(self, capsys):
+        # node 1 reads its binary first output before its second input; node
+        # 2 is silent but still sees its own binary first output
+        code, out, _ = run(capsys, "enumerate", "--spec", SPEC / "binary_feedback.json",
+                           "--list", "--format", "json")
+        assert code == 0
+        trees = [(r["name"], r["value"]) for r in json.loads(out)["results"]
+                 if " tree " in r["name"]]
+        assert trees == [
+            ("  node 1 tree 0", "(('0',), ('0', '0'))"),
+            ("  node 1 tree 1", "(('0',), ('0', '1'))"),
+            ("  node 1 tree 2", "(('0',), ('1', '0'))"),
+            ("  node 1 tree 3", "(('0',), ('1', '1'))"),
+            ("  node 1 tree 4", "(('1',), ('0', '0'))"),
+            ("  node 1 tree 5", "(('1',), ('0', '1'))"),
+            ("  node 1 tree 6", "(('1',), ('1', '0'))"),
+            ("  node 1 tree 7", "(('1',), ('1', '1'))"),
+            ("  node 2 tree 0", "(('0',), ('0', '0'))"),
+        ]
 
     def test_examples_registry(self, capsys):
         code, out, _ = run(capsys, "examples", "--only", "enumeration")

@@ -5,6 +5,10 @@ Claims:
     - enumeration counts match the product formula (128 binary trees at n=3,
       16 relay trees, |X| codewords at L=1), stay duplicate-free, and respect
       the cap
+    - a full tree space read arithmetically matches its materialized list on
+      drawn alphabets (labels of mixed types too): its length, order, every
+      index (negative and numpy ones as well), and bit for bit its tree
+      tables, tree-to-output matrix and block joint
     - the induced channel reproduces hand rollouts (feedback tree forces
       Y2=0; state tree 01 spreads the output to {0,2}; a tree that reads
       another node's output echoes it)
@@ -42,12 +46,14 @@ from inblock.model import (
     CodeFunction,
     CodeFunctionDistribution,
     NodeSpec,
+    TreeSpace,
     code_function_count,
     constant_code_functions,
     enumerate_code_functions,
     enumerate_maps,
     induced_channel,
     joint_distribution,
+    sorted_alphabet,
 )
 from inblock.optimize import receiver_code_function, tuple_channel_matrix
 from inblock.probability import FiniteDistribution
@@ -122,6 +128,64 @@ class TestEnumeration:
         assert tree.apply(2, (0,)) == 0
         assert tree.apply(2, (1,)) == 1
         assert tree.component(2) == (0, 1)
+
+
+# labels of mixed types, which only sorted_alphabet's repr key can order
+LABELS = st.one_of(st.integers(0, 3), st.sampled_from(("a", "b", "10")))
+ALPHABETS = st.lists(LABELS, min_size=1, max_size=3, unique=True).map(tuple)
+
+
+def listed_trees(inputs, feedbacks, node):
+    """Every code tree as a list, in the product order of the per-time tables."""
+    per_time = [list(itertools.product(sorted_alphabet(x),
+                                       repeat=prod(len(a) for a in feedbacks[:i])))
+                for i, x in enumerate(inputs)]
+    return [CodeFunction(node, inputs, feedbacks, tables)
+            for tables in itertools.product(*per_time)]
+
+
+class TestTreeSpace:
+    @settings(max_examples=40, deadline=None)
+    @given(alphabets=st.integers(1, 3).flatmap(
+               lambda L: st.tuples(st.lists(ALPHABETS, min_size=L, max_size=L),
+                                   st.lists(ALPHABETS, min_size=L, max_size=L))),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_materialized_list(self, alphabets, seed):
+        inputs, outputs = (tuple(a) for a in alphabets)
+        if code_function_count(inputs, outputs) > 300:
+            return
+        rng = np.random.default_rng(seed)
+        node = NodeSpec(1, inputs, outputs)
+        space, listed = enumerate_code_functions(node), listed_trees(inputs, outputs, 1)
+        assert isinstance(space, TreeSpace)
+        assert len(space) == code_function_count(inputs, outputs) == len(listed)
+        assert list(space) == listed
+        n = len(space)
+        for j in range(n):
+            assert space[j] == space[j - n] == space[np.int64(j)] == listed[j]
+        for j in (n, -n - 1, np.intp(n)):
+            with pytest.raises(IndexError):
+                space[j]
+        assert space == enumerate_maps(inputs, outputs, node=1)
+        assert hash(space) == hash(enumerate_maps(inputs, outputs, node=1))
+
+        # a channel whose output letter depends on the inputs so far and a noise letter
+        def emit(_k, i, x_hist, z):
+            reach = sum(inputs[t].index(x[0]) for t, x in enumerate(x_hist))
+            return outputs[i - 1][(reach + z) % len(outputs[i - 1])]
+        noise = FiniteDistribution((0, 1, 2), tuple(rng.dirichlet(np.ones(3))))
+        ch = BlockChannel.from_noise([node], noise, emit)
+        lazy, full = model.tree_tables(ch, [space]), model.tree_tables(ch, [listed])
+        for a, b in zip(lazy[0], full[0]):
+            assert a.index.dtype == b.index.dtype and np.array_equal(a.index, b.index)
+            assert a.components == b.components
+            assert a.table.dtype == b.table.dtype and np.array_equal(a.table, b.table)
+        assert np.array_equal(tuple_channel_matrix(ch, [space], [1]),
+                              tuple_channel_matrix(ch, [listed], [1]))
+        probs = rng.dirichlet(np.ones(n))
+        joint = joint_distribution(CodeFunctionDistribution([space], probs), ch)
+        assert np.array_equal(joint.table, joint_distribution(
+            CodeFunctionDistribution([listed], probs), ch).table)
 
 
 class TestInducedChannel:
