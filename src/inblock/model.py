@@ -563,8 +563,7 @@ def induced_channel(ch: BlockChannel, cfs: Sequence[CodeFunction]) -> dict:
 class CodeFunctionDistribution:
     """A joint distribution over tuples of code functions, one space per node."""
 
-    def __init__(self, spaces: Sequence[Sequence[CodeFunction]], probs: np.ndarray,
-                 *, product_form: bool = False):
+    def __init__(self, spaces: Sequence[Sequence[CodeFunction]], probs: np.ndarray):
         self.spaces = tuple(s if isinstance(s, TreeSpace) else tuple(s) for s in spaces)
         probs = np.asarray(probs, dtype=float)
         shape = tuple(len(s) for s in self.spaces)
@@ -575,14 +574,6 @@ class CodeFunctionDistribution:
             raise InvalidDistributionError("code-function weights are not a distribution")
         self.probs = np.clip(probs, 0.0, None)
         self.probs.setflags(write=False)
-        self.product_form = bool(product_form)
-        if self.product_form:
-            outer = np.ones(())
-            for k in range(len(self.spaces)):
-                outer = np.multiply.outer(outer, self.marginal(k + 1))
-            if np.abs(outer - self.probs).max() > PROB_TOL:
-                raise InvalidDistributionError(
-                    "product-form flag set but the joint does not factorize")
 
     @property
     def K(self) -> int:
@@ -597,7 +588,7 @@ class CodeFunctionDistribution:
         table = np.ones(())
         for m in marginals:
             table = np.multiply.outer(table, np.asarray(m, dtype=float))
-        return cls(spaces, table, product_form=True)
+        return cls(spaces, table)
 
     @classmethod
     def uniform(cls, spaces) -> "CodeFunctionDistribution":
@@ -609,7 +600,7 @@ class CodeFunctionDistribution:
         shape = tuple(len(s) for s in spaces)
         table = np.zeros(shape)
         table[tuple(index)] = 1.0
-        return cls(spaces, table, product_form=True)
+        return cls(spaces, table)
 
     def mix(self, other: "CodeFunctionDistribution", lam: float) -> "CodeFunctionDistribution":
         if self.spaces != other.spaces:

@@ -2,11 +2,11 @@
 distributions.
 
 Point-to-point capacity is alternating minimization on the code-function
-channel P(y^L | a^L), with steps lengthened while they raise the value, and
-the standard upper/lower bracket.  The max-min over cuts, for the exact cut
-value and for every relaxation, is the saddle point of the cut-weighted sum,
-solved by entropic mirror-prox on the tree-law and cut-law simplices, with
-each cut's own maximizer (a lengthened multiplicative ascent on its row) as a
+channel P(y^L | a^L): one lengthened multiplicative ascent on its divergence
+rows, with the standard upper/lower bracket.  The max-min over cuts, for the
+exact cut value and for every relaxation, is the saddle point of the
+cut-weighted sum, solved by entropic mirror-prox on the tree-law and cut-law
+simplices, with each cut's own maximizer (the same ascent on its row) as a
 further candidate.  Each kind gives rows that bound every cut from above at
 every law evaluated: the divergence rows of all exact cuts, computed in one
 pass, or the tangent rows of the relaxed cuts, each compiled once into
@@ -16,7 +16,7 @@ the best value, or after ``iterations`` mirror-prox steps.  Support reduction
 searches supports up to a cardinality budget, exhaustively when feasible, with
 each candidate's alternating minimization stopped once its upper end cannot
 beat the best value found (branch and bound), and by greedy pruning with
-restarts otherwise.
+random restarts otherwise.
 """
 
 from __future__ import annotations
@@ -50,8 +50,11 @@ MIRROR_STEP = 4.0           # first mirror-prox step (exponent in bits per bit)
 CHECK_EVERY = 10            # mirror-prox steps between evaluations of the average
 STALE_CHECKS = 40           # checks without a smaller gap before the step halves
 CUT_LAW_FLOOR = 1e-6        # least weight of a cut, so none underflows for good
-LAW_FLOOR = np.finfo(float).tiny  # least tuple weight in a single-cut ascent
-ROUNDING = 1e-15            # a fall in a cut's value this small is rounding
+LAW_FLOOR = np.sqrt(np.finfo(float).tiny)  # least weight of an ascent's law: its
+#   products with probabilities down to itself stay normal (subnormals are slow)
+ROUNDING = 1e-15            # a fall in an ascent's value this small is rounding
+GREEDY_RESTARTS = 4         # random starts of the greedy support pruning
+GREEDY_SEED = 0
 
 
 @dataclass
@@ -64,7 +67,53 @@ class OptimizationResult:
     meta: dict = field(default_factory=dict)
 
 
-# -- alternating minimization on a plain channel matrix ----------------------
+# -- the lengthened multiplicative ascent and alternating minimization ---------
+
+def _tilt(x: np.ndarray, s: np.ndarray, floor=0.0) -> np.ndarray:
+    """The law x * 2^s renormalized, shifted by the largest exponent on x's
+    support so that nothing overflows."""
+    x = x * np.exp2(s - s[x > 0.0].max())
+    x = np.maximum(x / x.sum(), floor)
+    return x / x.sum()
+
+
+def _ascend(rows: Callable, n: int, *, tol: float, max_iter: int,
+            floor: float = -np.inf, least_mu: float = 0.0):
+    """Maximize a concave f over laws on n entries from the uniform law.
+
+    ``rows(p)`` gives a row g with f(q) <= g @ q for every law q, equal at
+    q = p, and the entries where that bound is +inf (blind, a mask or one flag
+    for all; g leaves them out).  The law moves as p * 2^(mu (g - max g)), the
+    step-size family of Matz and Duhamel: mu grows by half on each step that
+    raises the value, and a step that would lower it by more than rounding is
+    retried at a quarter of mu, but not below ``least_mu``; a fall at
+    ``least_mu`` raises ArithmeticError.  No weight falls below ``LAW_FLOOR``,
+    so an entry whose row later leads can regain mass.  The least max of g off
+    its blind entries bounds max f.  The ascent stops once that bound is
+    within ``tol`` of the value, at or below ``floor``, after ``max_iter`` row
+    evaluations, or when a step leaves the law unchanged, checked in that
+    order.  Returns the value, the law, the row evaluations and the bound.
+    """
+    p = np.full(n, 1.0 / n)
+    g, blind = rows(p)
+    value, upper, mu, evals = float(g @ p), np.inf, 1.0, 1
+    while True:
+        upper = min(upper, float(np.where(blind, np.inf, g).max()))
+        if upper - value <= tol or upper <= floor or evals >= max_iter:
+            return value, p, evals, upper
+        q = _tilt(p, mu * g, LAW_FLOOR)
+        if (q == p).all():
+            return value, p, evals, upper
+        g_q, blind_q = rows(q)
+        evals += 1
+        value_q = float(g_q @ q)
+        if value_q < value - ROUNDING and mu > least_mu:
+            mu = max(least_mu, mu / 4.0)
+            continue
+        if value_q < value - 1e-12:
+            raise ArithmeticError("an ascent step at the least step size lowered the value")
+        p, g, blind, value, mu = q, g_q, blind_q, value_q, mu * 1.5 if value_q >= value else mu
+
 
 def blahut_arimoto(W: np.ndarray, *, tol: float = BA_TOL,
                    max_iter: int = BA_MAX_ITER,
@@ -72,13 +121,10 @@ def blahut_arimoto(W: np.ndarray, *, tol: float = BA_TOL,
     """Channel capacity of row-stochastic W in bits.
 
     Returns (capacity lower value, maximizing input law, iterations, bracket gap).
-    Each iteration evaluates one law's divergences D; the law moves as
-    r * 2^(mu (D - max D)), the step-size family of Matz and Duhamel, with mu
-    grown while the value rises, so the accepted iterates are monotone
-    nondecreasing.  The lower value is within ``tol`` of capacity at
-    termination.  The upper end ``max_j D_j`` bounds capacity at every
-    iterate, so the run also stops once it falls to ``floor`` or below; the
-    bracket returned then has width ``tol`` or more.
+    ``_ascend`` on the divergence rows D of W, whose value r @ D is the mutual
+    information and each of whose maxima max_j D_j bounds capacity.  The gap
+    is at most ``tol`` unless the run stops on ``floor``, on ``max_iter`` or
+    with a law that no longer moves.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] < 1:
@@ -93,40 +139,23 @@ def blahut_arimoto(W: np.ndarray, *, tol: float = BA_TOL,
 
     logW = np.where(W > 0.0, np.log2(np.where(W > 0.0, W, 1.0)), 0.0)
 
-    def step(r, D, mu):
-        """r * 2^(mu (D - max D)), renormalized, with its divergences and value."""
-        r = r * np.exp2(mu * (D - D.max()))
-        r /= r.sum()
+    def rows(r):
         out = r @ W
         D = ((logW - np.log2(np.where(out > 0.0, out, 1.0))[None, :]) * W).sum(axis=1)
-        return r, D, float(r @ D)
+        return D, bool((out <= 0.0).any())   # an output without mass: no bound here
 
-    # mu = 0 from any D is the uniform law itself; mu = 1 is the plain
-    # alternating-minimization step, which never lowers the value.  mu grows
-    # while its steps raise the value; a step that would lower it by more than
-    # rounding is retried at a quarter of mu, down to 1.
-    r, D, lower = step(np.full(m, 1.0 / m), np.zeros(m), 0.0)
-    mu, it = 1.0, 1
-    while True:
-        upper = float(D.max())
-        if upper - lower < tol or upper <= floor or it >= max_iter:
-            return lower, r, it, upper - lower
-        next_r, next_D, value = step(r, D, mu)
-        it += 1
-        while value < lower - ROUNDING and mu > 1.0:
-            mu = max(1.0, mu / 4.0)
-            next_r, next_D, value = step(r, D, mu)
-            it += 1
-        if value < lower - 1e-12:
-            raise ArithmeticError("alternating-minimization iterate decreased")
-        if value >= lower:
-            mu *= 1.5
-        r, D, lower = next_r, next_D, max(lower, value)
+    # mu = 1 is the plain alternating-minimization step, which never lowers
+    # the value, so a fall there is an arithmetic error.
+    lower, r, it, upper = _ascend(rows, m, tol=tol, max_iter=max_iter, floor=floor,
+                                  least_mu=1.0)
+    return lower, r, it, max(upper - lower, 0.0)   # below 0 only by rounding
 
 
 def _ba_termination(gap: float, iterations: int, tol: float, max_iter: int) -> str:
-    """Why ``blahut_arimoto`` stopped, read off what it returned."""
-    return "certified" if gap < tol else "max_iter" if iterations >= max_iter else "floor"
+    """Why ``blahut_arimoto`` stopped, read off what it returned in the order
+    ``_ascend`` checks its stops (a run stopped on its floor reads "stalled"
+    or "max_iter"; no caller labels one)."""
+    return "certified" if gap <= tol else "max_iter" if iterations >= max_iter else "stalled"
 
 
 def receiver_code_function(ch: BlockChannel, k: int) -> CodeFunction:
@@ -171,7 +200,8 @@ def maximize_point_to_point(ch: BlockChannel, *, feedback: bool = True,
     With ``feedback`` the maximization runs over all code trees of node 1;
     without it only the constant (codeword) trees enter, which is the
     vector-alphabet no-feedback capacity.  ``meta["termination"]`` is
-    "certified" (bracket below ``tol``) or "max_iter".
+    "certified" (bracket at most ``tol``), "max_iter", or "stalled" (the law
+    stopped moving first, as it can at ``tol=0``).
     """
     require_point_to_point(ch)
     node = ch.nodes[0]
@@ -424,46 +454,17 @@ def _dual_bound(G: np.ndarray, blind: np.ndarray, duals) -> float:
     return min(float((l[l > 0.0] @ H[l > 0.0]).max()) for l in duals)
 
 
-def _tilt(x: np.ndarray, s: np.ndarray, floor=0.0) -> np.ndarray:
-    """The law x * 2^s renormalized, shifted by the largest exponent on x's
-    support so that nothing overflows."""
-    x = x * np.exp2(s - s[x > 0.0].max())
-    x = np.maximum(x / x.sum(), floor)
-    return x / x.sum()
-
-
 def _cut_ascents(objective: _Objective, *, tol: float):
-    """Each cut alone, maximized from the uniform law by the lengthened
-    multiplicative step p <- p * 2^(mu (G_i - max G_i)) on its own row.
-
-    mu grows by half while the cut's value rises; a step that would lower it
-    by more than rounding is retried at a quarter of mu (with no floor, since
-    the rows need not be alternating minimization's).  No weight falls below
-    ``LAW_FLOOR``, so a tuple whose row entry later leads can regain mass.  A
-    cut stops once max_j G_ij is within ``tol`` of its value, once a step
-    leaves the law unchanged, or after ``BA_MAX_ITER`` steps.  The least
-    max_j G_ij seen bounds that cut's optimum, so the least of those (or their
-    weighted sum) bounds the max-min.  Returns the final laws and that bound.
-    """
+    """Each cut alone, maximized by ``_ascend`` on its own row.  The least of
+    the cuts' upper ends (or their weighted sum) bounds the max-min.  Returns
+    the final laws and that bound."""
     anchors, uppers = [], []
     for i in range(len(objective.cuts)):
-        p = np.full(objective.n, 1.0 / objective.n)
-        G, blind = objective.kl_rows(p)
-        value, upper = float(G[i] @ p), np.inf
-        mu, it = 1.0, 1
-        while True:
-            upper = min(upper, float(np.where(blind[i], np.inf, G[i]).max()))
-            if upper - value <= tol or it >= BA_MAX_ITER:
-                break
-            q = _tilt(p, mu * G[i], LAW_FLOOR)
-            if np.array_equal(q, p):
-                break
-            G_q, blind_q = objective.kl_rows(q)
-            it += 1
-            if G_q[i] @ q < value - ROUNDING:
-                mu /= 4.0
-                continue
-            p, G, blind, value, mu = q, G_q, blind_q, float(G_q[i] @ q), mu * 1.5
+        def row(p, i=i):
+            G, blind = objective.kl_rows(p)
+            return G[i], blind[i]
+
+        _value, p, _evals, upper = _ascend(row, objective.n, tol=tol, max_iter=BA_MAX_ITER)
         anchors.append(p)
         uppers.append(upper)
     if objective.weights is None:
@@ -611,20 +612,19 @@ def support_reduction(ch: BlockChannel, bound: int, *,
                       feedback: bool = True,
                       cap: int = DEFAULT_ENUMERATION_CAP,
                       exhaustive_cap: int = 10 ** 6,
-                      tol: float = 1e-6,
-                      restarts: int = 4,
-                      seed: int = 0) -> SupportReduction:
+                      tol: float = 1e-6) -> SupportReduction:
     """Search code-tree supports of size at most ``bound`` for a two-node channel.
 
     Exhausts all supports when the binomial count fits the cap, otherwise
-    prunes greedily from the full optimum with randomized restarts.  Always
-    returns the best support found together with its optimality gap.  The
+    prunes greedily from the full optimum and ``GREEDY_RESTARTS`` random laws.
+    Always returns the best support found together with its optimality gap.  The
     default inner objective is the capacity of the restricted tree-to-output
     matrix; on the exhaustive path a candidate's alternating minimization stops
     once its upper end falls to the best value found, which leaves the result
     unchanged (``result.meta`` counts the ``candidates`` and the ``pruned``
-    ones, and its ``termination`` says how the returned support's run
-    stopped: "certified", "floor" or "max_iter").  Pass
+    ones).  A candidate stopped there cannot beat the incumbent, so the
+    returned support's ``termination`` is "certified", "max_iter" or
+    "stalled", as for ``maximize_point_to_point``.  Pass
     ``objective(W_restricted) -> (value, law)`` to certify a different concave
     functional on the same support lattice; its answer is taken as exact.
     """
@@ -653,15 +653,15 @@ def support_reduction(ch: BlockChannel, bound: int, *,
         for support in itertools.combinations(range(len(trees)), size):
             value, r, iters, gap = inner(W[list(support)], floor=best[0])
             candidates += 1
-            pruned += gap >= BA_TOL
+            pruned += gap > BA_TOL
             if value > best[0]:
                 best = (value, support, (r, iters, gap))
                 if full_value - value <= 1e-9:
                     break
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(GREEDY_SEED)
         starts = [full_r] + [rng.dirichlet(np.ones(len(trees)))
-                             for _ in range(restarts)]
+                             for _ in range(GREEDY_RESTARTS)]
         for r0 in starts:
             keep = list(range(len(trees)))
             mass = np.asarray(r0, dtype=float)

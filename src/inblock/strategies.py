@@ -8,6 +8,7 @@ returned as half-space lists over the rate vector.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, prod
@@ -22,9 +23,7 @@ from .model import (
     CodeFunctionDistribution,
     enumerate_code_functions,
     joint_distribution,
-    roll_tuples,
     sorted_alphabet,
-    tree_tables,
 )
 from .probability import (
     PROB_TOL,
@@ -217,10 +216,16 @@ def qf_rate(ch: BlockChannel, pa: CodeFunctionDistribution | None,
         raise ShapeError("pass either pa or time_share components")
     components = list(time_share) if time_share is not None \
         else [(1.0, pa, quantizers)]
+    # Only nodes quantized in some component get a Yhat variable, in every
+    # component so that ``mixture`` sees equal variables; the others' Yhat is
+    # their own outputs.
+    quantized = sorted({k for _w, _pa, q in components for k in (q or {})})
     joints = []
     spaces = None
     for weight, pa_t, quantizers_t in components:
-        if not pa_t.product_form:
+        outer = functools.reduce(np.multiply.outer,
+                                 (pa_t.marginal(k) for k in range(1, pa_t.K + 1)))
+        if np.abs(outer - pa_t.probs).max() > PROB_TOL:
             raise ShapeError("quantize-forward needs independent code functions")
         if spaces is None:
             spaces = pa_t.spaces
@@ -228,7 +233,7 @@ def qf_rate(ch: BlockChannel, pa: CodeFunctionDistribution | None,
             raise ShapeError("time-share components must share tree spaces")
         quantizers_t = dict(quantizers_t) if quantizers_t else {}
         joint_t = joint_distribution(pa_t, ch)
-        for k in range(1, ch.K + 1):
+        for k in quantized:
             alphabet, kernel = quantizers_t.get(k) or identity_quantizer(ch, k)
             joint_t = _attach_quantized(joint_t, k, f"Yhat{k}",
                                         pa_t.spaces[k - 1], alphabet, kernel)
@@ -240,7 +245,8 @@ def qf_rate(ch: BlockChannel, pa: CodeFunctionDistribution | None,
         t_var = Variable("T", tuple(range(len(joints))), kind="aux")
         joint = mixture(t_var, [w for w, _, _ in components], joints)
         given = ["T"]
-    yhat_names = {k: f"Yhat{k}" for k in range(1, ch.K + 1)}
+    yhat = {k: [f"Yhat{k}"] if k in quantized
+            else list(joint.select(kind="output", nodes=[k])) for k in range(1, ch.K + 1)}
     sinks = frozenset(sinks)
 
     nodes = frozenset(range(1, ch.K + 1))
@@ -253,8 +259,8 @@ def qf_rate(ch: BlockChannel, pa: CodeFunctionDistribution | None,
             Sc = nodes - S
             a_s = list(joint.select(kind="code", nodes=S))
             a_sc = list(joint.select(kind="code", nodes=Sc))
-            yhat_sc = [yhat_names[k] for k in sorted(Sc)]
-            yhat_s = [yhat_names[k] for k in sorted(S)]
+            yhat_sc = [name for k in sorted(Sc) for name in yhat[k]]
+            yhat_s = [name for k in sorted(S) for name in yhat[k]]
             y_s = list(joint.select(kind="output", nodes=S))
             penalty = mutual_information(
                 joint, y_s, yhat_s, a_s + a_sc + yhat_sc + given)
@@ -369,7 +375,7 @@ def bc_marton_region(ch: BlockChannel, aux_probs: Mapping[tuple, float],
     factorization.
     """
     require_broadcast(ch)
-    from .optimize import receiver_code_function
+    from .optimize import receiver_code_function, tuple_channel_matrix
     triples = list(aux_probs)
     ts = sorted_alphabet({t for t, _u1, _u2 in triples})
     u1s = sorted_alphabet({u1 for _t, u1, _u2 in triples})
@@ -388,15 +394,11 @@ def bc_marton_region(ch: BlockChannel, aux_probs: Mapping[tuple, float],
     heads = np.array([np.ravel_multi_index((ts.index(t), u1s.index(u1), u2s.index(u2)),
                                            shape[:3]) for (t, u1, u2), _w in live])
     weights = np.array([w for _triple, w in live], dtype=float)
-    trees = tree_tables(ch, [[tree_of[triple] for triple, _w in live], [rx2], [rx3]])
-    radix = [prod(shape[:3])] + [prod(map(len, n.outputs)) for n in ch.nodes]
-    table = np.zeros(prod(shape))
-    for chunk, owner, _xs, ys, prob in roll_tuples(ch, trees, np.arange(len(live))):
-        triple = chunk[owner]
-        table += np.bincount(np.ravel_multi_index([heads[triple]] + ys, radix),
-                             weights[triple] * prob, minlength=table.size)
-    table = table.reshape(shape)
-    joint = JointBlockDistribution(variables, table)
+    W = tuple_channel_matrix(ch, [[tree_of[triple] for triple, _w in live], [rx2], [rx3]],
+                             range(1, 4))
+    table = np.zeros((prod(shape[:3]), W.shape[1]))
+    table[heads] = weights[:, None] * W
+    joint = JointBlockDistribution(variables, table.reshape(shape))
     y1 = list(joint.select(kind="output", nodes=[2]))
     y2 = list(joint.select(kind="output", nodes=[3]))
     L = ch.L

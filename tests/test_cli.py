@@ -5,7 +5,7 @@ Claims:
     - values in the reports match the library calls that produced them
     - --format json emits valid machine-readable JSON, csv emits flat rows
     - the max-min and capacity commands say why the optimizer stopped, in
-      text and json
+      text and json; capacity at --tol 0 exits 0 with a nonnegative gap
     - the argument parser is built once per process
     - ``enumerate --list`` prints every tree of a spec with feedback in the
       canonical order
@@ -119,6 +119,14 @@ class TestFormats:
         doc = json.loads(out)
         values = {r["name"]: r["value"] for r in doc["results"]}
         assert values["capacity"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_capacity_at_zero_tol(self, capsys):
+        code, out, _ = run(capsys, "capacity", "--spec", SPEC / "binary_feedback.json",
+                           "--tol", "0", "--format", "json")
+        assert code == 0
+        meta = json.loads(out)["metadata"]
+        assert float(meta["bracket_gap"]) >= 0.0
+        assert meta["termination"] in ("certified", "stalled")
 
     def test_optimizer_reports_why_it_stopped(self, capsys):
         for argv in (("cutset", "--optimize"), ("relay",)):

@@ -362,14 +362,6 @@ class TestRolloutEngine:
 
 
 class TestCodeFunctionDistribution:
-    def test_product_form_flag_validated(self):
-        node = NodeSpec(1, ((0, 1),), (SILENT,))
-        space = constant_code_functions(node.inputs, node.outputs, node=1)
-        correlated = np.array([[0.5, 0.0], [0.0, 0.5]])
-        with pytest.raises(Exception):
-            CodeFunctionDistribution([space, space], correlated, product_form=True)
-        CodeFunctionDistribution([space, space], correlated)  # fine when honest
-
     def test_mix(self, rng):
         ch = random_channel(rng, K=2)
         spaces = channel_spaces(ch)

@@ -5,7 +5,9 @@ Claims:
       iterates monotone, its reported value re-evaluates at the returned law
       within 1e-7, and a floor above capacity stops it with a valid bracket;
       its lengthened steps close the 1e-9 bracket of near-identical rows in
-      under 1,000 iterations and agree with plain alternating minimization
+      under 1,000 iterations and agree with plain alternating minimization;
+      at tol=0 it and the point-to-point solver stop with a finite law and a
+      nonnegative gap
     - point-to-point: feedback capacity 1 bit/use on the noise-revealing
       channel, (2 - H2(e))/2 without feedback, 1 bit for a clean binary letter;
       on the four-letter feedback BSC 1 - H2(e) with and without feedback,
@@ -41,6 +43,7 @@ Claims:
 """
 
 import itertools
+import warnings
 from collections import defaultdict
 from math import comb, log2, prod
 from pathlib import Path
@@ -244,6 +247,15 @@ class TestBlahutArimoto:
         if upper - lower < 1e-9:
             assert value == pytest.approx(lower, abs=1e-9)
 
+    def test_zero_tol_stops_with_a_finite_law(self):
+        # at tol=0 the bracket closes only by rounding; the run must not grow
+        # its step until the law turns to NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, r, iters, gap = blahut_arimoto(np.eye(2), tol=0.0)
+        assert np.isfinite(r).all() and gap >= 0.0
+        assert (value, iters, gap) == (1.0, 1, 0.0)
+
     def test_degenerate_shapes(self):
         value, r, _, _ = blahut_arimoto(np.array([[0.25, 0.75]]))
         assert value == 0.0
@@ -318,6 +330,14 @@ class TestPointToPoint:
         assert res.meta["termination"] == "max_iter" and res.gap >= 1e-9
         sr = support_reduction(ch, 2)
         assert sr.result.meta["termination"] == "certified"
+
+    def test_zero_tol_certifies_or_stalls(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = maximize_point_to_point(binary_feedback_channel(0.25), tol=0.0)
+        assert np.isfinite(res.distribution).all() and res.gap >= 0.0
+        assert res.meta["termination"] in ("certified", "stalled")
+        assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_value_reproducible(self):
         ch = state_addition_channel()

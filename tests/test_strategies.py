@@ -12,7 +12,10 @@ Claims:
       reconstruction
     - quantize-forward equals the cut minimum on deterministic networks with
       lossless quantizers, its simplified variant never exceeds the full one,
-      and every strategy stays below the certified single-cut upper bounds
+      and every strategy stays below the certified single-cut upper bounds;
+      its lossless default equals explicit identity quantizers to 1e-12 (also
+      in a time-share with a quantized component), and a product law built by
+      the plain constructor is accepted
     - the common-feedback region's two forms agree on random schemes, a
       codeword-only scheme reduces to the classic region, and the adder with
       shared feedback matches the cut-set rows of the copied-output spec
@@ -325,6 +328,48 @@ class TestQuantizeForward:
         pa = random_pa(rng, channel_spaces(ch), dependent=False)
         with pytest.raises(ShapeError):
             qf_rate(ch, pa, None, sinks={3}, source=3)
+
+    def test_product_law_from_plain_constructor_accepted(self, rng):
+        ch = random_relay_channel(rng, L=1)
+        spaces = channel_spaces(ch)
+        marginals = [rng.dirichlet(np.ones(len(s))) for s in spaces]
+        table = np.multiply.outer(np.multiply.outer(marginals[0], marginals[1]),
+                                  marginals[2])
+        plain = qf_rate(ch, CodeFunctionDistribution(spaces, table), None, sinks={3})
+        want = qf_rate(ch, CodeFunctionDistribution.independent(spaces, marginals),
+                       None, sinks={3})
+        assert plain.rate == pytest.approx(want.rate, abs=1e-12)
+
+    def test_lossless_default_equals_identity_quantizers(self, rng):
+        # omitted nodes read their own outputs instead of an attached copy
+        def identities(ch, quantizers=None):
+            return {k: identity_quantizer(ch, k) for k in range(1, ch.K + 1)} | (
+                quantizers or {})
+
+        def same(got, want):
+            assert got.rate == pytest.approx(want.rate, abs=1e-12)
+            assert got.rate_lb == pytest.approx(want.rate_lb, abs=1e-12)
+            assert got.per_cut.keys() == want.per_cut.keys()
+            for S, values in want.per_cut.items():
+                assert got.per_cut[S] == pytest.approx(values, abs=1e-12)
+
+        cases = [random_relay_channel(rng, L=1) for _ in range(4)]
+        cases.append(parse_spec(SPEC / "qf_line.json")[0])
+        for ch in cases:
+            pa = random_pa(rng, channel_spaces(ch), dependent=False)
+            same(qf_rate(ch, pa, None, sinks={3}),
+                 qf_rate(ch, pa, identities(ch), sinks={3}))
+        # a time-share of a quantized component and a lossless one
+        ch = random_relay_channel(rng, L=1)
+        spaces = channel_spaces(ch)
+        pa1, pa2 = (random_pa(rng, spaces, dependent=False) for _ in range(2))
+        alphabet, identity = identity_quantizer(ch, 2)   # mixed joints share alphabets
+        noisy = {2: (alphabet, lambda cf, y: 0.7 * identity(cf, y) + 0.3 / len(alphabet))}
+        same(qf_rate(ch, None, None, sinks={3},
+                     time_share=[(0.4, pa1, noisy), (0.6, pa2, None)]),
+             qf_rate(ch, None, None, sinks={3},
+                     time_share=[(0.4, pa1, identities(ch, noisy)),
+                                 (0.6, pa2, identities(ch))]))
 
 
 class TestMacFeedbackRegion:
