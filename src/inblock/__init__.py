@@ -72,7 +72,6 @@ from .optimize import (
     OptimizationResult,
     SupportReduction,
     blahut_arimoto,
-    grid_maximize,
     maximize_cutset_minimum,
     maximize_point_to_point,
     ptp_support_bound,

@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import InvalidDistributionError, ShapeError, SizeError
 from .probability import (
+    MAX_CELLS,
     PROB_TOL,
     FiniteDistribution,
     JointBlockDistribution,
@@ -609,11 +610,10 @@ class CodeFunctionDistribution:
             self.spaces, lam * self.probs + (1.0 - lam) * other.probs)
 
 
-def joint_variables(ch: BlockChannel, trees: list, *,
-                    max_cells: int = 10_000_000) -> list[Variable]:
+def joint_variables(ch: BlockChannel, trees: list) -> list[Variable]:
     """The block joint's variables over the tree tables ``trees``: every
     node's code components, then inputs, then outputs, one per time.  Raises
-    ``SizeError`` when their table would need over ``max_cells`` cells."""
+    ``SizeError`` when their table would need over ``MAX_CELLS`` cells."""
     variables: list[Variable] = []
     for k, per_time in enumerate(trees):
         for i, level in enumerate(per_time, start=1):
@@ -625,8 +625,8 @@ def joint_variables(ch: BlockChannel, trees: list, *,
                 variables.append(Variable(f"{letter}{node.node}:{i}", alphabet,
                                           node=node.node, time=i, kind=kind))
     cells = prod(len(v.alphabet) for v in variables)
-    if cells > max_cells:
-        raise SizeError(f"joint would need {cells} cells (cap {max_cells})")
+    if cells > MAX_CELLS:
+        raise SizeError(f"joint would need {cells} cells (cap {MAX_CELLS})")
     return variables
 
 
@@ -647,8 +647,7 @@ def joint_paths(ch: BlockChannel, trees: list, tuples: np.ndarray):
         yield tuple_index, np.ravel_multi_index(components + xs + ys, radix), prob
 
 
-def joint_distribution(pa: CodeFunctionDistribution, ch: BlockChannel, *,
-                       max_cells: int = 10_000_000) -> JointBlockDistribution:
+def joint_distribution(pa: CodeFunctionDistribution, ch: BlockChannel) -> JointBlockDistribution:
     """The block joint over code functions, inputs, and outputs.
 
     Factorizes as P(a) * [prod_k 1(x_k^L || a_k^L, 0y_k^{L-1})] * P(y_K^L || x_K^L);
@@ -658,7 +657,7 @@ def joint_distribution(pa: CodeFunctionDistribution, ch: BlockChannel, *,
     if pa.K != ch.K:
         raise ShapeError("code-function distribution and channel disagree on K")
     trees = tree_tables(ch, pa.spaces)
-    variables = joint_variables(ch, trees, max_cells=max_cells)
+    variables = joint_variables(ch, trees)
     shape = tuple(len(v.alphabet) for v in variables)
     weights = pa.probs.ravel()
     table = np.zeros(prod(shape))

@@ -3,20 +3,23 @@ distributions.
 
 Point-to-point capacity is alternating minimization on the code-function
 channel P(y^L | a^L): one lengthened multiplicative ascent on its divergence
-rows, with the standard upper/lower bracket.  The max-min over cuts, for the
-exact cut value and for every relaxation, is the saddle point of the
+rows, with the standard upper/lower bracket.  The cut values, exact or
+relaxed, give rows that bound every cut from above at every law evaluated:
+the divergence rows of all exact cuts, computed in one pass, or the tangent
+rows of the relaxed cuts, each compiled once into entropies of products of
+the law with tuple-to-marginal maps.  A fixed nonnegative weighting of the
+cuts (a weighted sum, a session with one separating cut, or one cut on its
+own) is maximized by the same ascent on the weighted row, stopped once its
+bracket is within ``tol``, after ``BA_MAX_ITER`` row evaluations, or when the
+law stops moving.  The min over two or more cuts is the saddle point of the
 cut-weighted sum, solved by entropic mirror-prox on the tree-law and cut-law
-simplices, with each cut's own maximizer (the same ascent on its row) as a
-further candidate.  Each kind gives rows that bound every cut from above at
-every law evaluated: the divergence rows of all exact cuts, computed in one
-pass, or the tangent rows of the relaxed cuts, each compiled once into
-entropies of products of the law with tuple-to-marginal maps.  For every kind
-the solver stops once that bound or the single-cut one is within ``tol`` of
-the best value, or after ``iterations`` mirror-prox steps.  Support reduction
-searches supports up to a cardinality budget, exhaustively when feasible, with
-each candidate's alternating minimization stopped once its upper end cannot
-beat the best value found (branch and bound), and by greedy pruning with
-random restarts otherwise.
+simplices, with each cut's own maximizer as a further candidate; it stops
+once its bound or the single-cut one is within ``tol`` of the best value, or
+after ``iterations`` mirror-prox steps.  Support reduction searches supports
+up to a cardinality budget, exhaustively when feasible, with each candidate's
+alternating minimization stopped once its upper end cannot beat the best
+value found (branch and bound), and by greedy pruning with random restarts
+otherwise.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class OptimizationResult:
     distribution: np.ndarray | None
     iterations: int
     gap: float
-    method: str                       # "ba" | "mirror-prox" | "grid" (grid_maximize)
+    method: str                       # "ba" | "ascent" | "mirror-prox"
     meta: dict = field(default_factory=dict)
 
 
@@ -263,27 +266,19 @@ def simplex_grid(dim: int, resolution: int):
 # -- max-min cut optimization ---------------------------------------------------
 
 class _Objective:
-    """The cuts of a max-min over tree-tuple laws, with their weights when the
-    max-min is scalarized.  Subclasses give ``kl_rows(p)``: per cut i a row
-    G_i with f_i(q) <= G_i @ q for every law q, in bits per block, and the
-    entries where that row is +inf (blind)."""
+    """The cuts of a max-min over tree-tuple laws.  Subclasses give
+    ``kl_rows(p)``: per cut i a row G_i with f_i(q) <= G_i @ q for every law
+    q, in bits per block, and the entries where that row is +inf (blind)."""
 
-    def __init__(self, spaces: Sequence[Sequence[CodeFunction]],
-                 cuts: Sequence[frozenset], weights: Sequence[float] | None):
+    def __init__(self, spaces: Sequence[Sequence[CodeFunction]], cuts: Sequence[frozenset]):
         self.sizes = tuple(len(s) for s in spaces)
         self.n = prod(self.sizes)
         self.cuts = list(cuts)
-        self.weights = None if weights is None else np.asarray(weights, dtype=float)
-
-    def combine(self, values: np.ndarray) -> float:
-        if self.weights is not None:
-            return float(self.weights @ values)
-        return float(values.min())
 
 
 class _CutObjective(_Objective):
-    """min (or weighted sum) over cuts of I(A_S ; Y_{S^c} | A_{S^c}), with the
-    per-tuple divergence rows that bound each cut from above.
+    """The cut values I(A_S ; Y_{S^c} | A_{S^c}), with the per-tuple
+    divergence rows that bound each cut from above.
 
     Every cut's tuple-to-output matrix is kept flat, one entry per
     positive (cut, tuple, output) probability pointing at its (cut,
@@ -291,9 +286,8 @@ class _CutObjective(_Objective):
     gives the rows of all cuts."""
 
     def __init__(self, ch: BlockChannel, spaces: Sequence[Sequence[CodeFunction]],
-                 cuts: Sequence[frozenset],
-                 weights: Sequence[float] | None = None):
-        super().__init__(spaces, cuts, weights)
+                 cuts: Sequence[frozenset]):
+        super().__init__(spaces, cuts)
         # Roll each tuple out once; a cut sums out its own nodes' output slots.
         full = tuple_channel_matrix(ch, spaces, range(1, ch.K + 1)).reshape(
             self.n, *(len(ch.output_alphabet(k, i)) for k in range(1, ch.K + 1)
@@ -411,8 +405,7 @@ class _TuplePaths:
 
 
 class _RelaxedObjective(_Objective):
-    """min (or weighted sum) over cuts of one relaxed cut expression, with its
-    tangent rows.
+    """One relaxed cut expression per cut, with its tangent rows.
 
     Each cut is compiled once, by running ``cutset.weakened_bound`` on the
     rolled-out tuples: f_i(p) = c_i + sum_k C_ik H(p @ M_k), with M_k the
@@ -423,9 +416,8 @@ class _RelaxedObjective(_Objective):
     has no mass.  The rows bound f_i wherever f_i is concave."""
 
     def __init__(self, ch: BlockChannel, spaces: Sequence[Sequence[CodeFunction]],
-                 cuts: Sequence[frozenset], kind: str,
-                 weights: Sequence[float] | None = None):
-        super().__init__(spaces, cuts, weights)
+                 cuts: Sequence[frozenset], kind: str):
+        super().__init__(spaces, cuts)
         paths = _TuplePaths(ch, spaces)
         sums = [weakened_bound(paths, S, kind) * ch.L for S in self.cuts]
         terms = sorted({axes for s in sums for axes, c in s.coef.items() if c != 0.0},
@@ -454,34 +446,38 @@ def _dual_bound(G: np.ndarray, blind: np.ndarray, duals) -> float:
     return min(float((l[l > 0.0] @ H[l > 0.0]).max()) for l in duals)
 
 
-def _cut_ascents(objective: _Objective, *, tol: float):
-    """Each cut alone, maximized by ``_ascend`` on its own row.  The least of
-    the cuts' upper ends (or their weighted sum) bounds the max-min.  Returns
-    the final laws and that bound."""
-    anchors, uppers = [], []
-    for i in range(len(objective.cuts)):
-        def row(p, i=i):
-            G, blind = objective.kl_rows(p)
-            return G[i], blind[i]
+def _weighted_ascent(objective: _Objective, w: np.ndarray, *, tol: float):
+    """Maximize the fixed weighting sum_i w_i f_i (w >= 0) by ``_ascend`` on
+    the row w @ G over the weighted cuts, which bounds the sum at every law,
+    equals it at the current law and is blind wherever a weighted cut's row
+    is.  Returns what ``_ascend`` returns, within ``BA_MAX_ITER`` evaluations."""
+    on = w > 0.0
 
-        _value, p, _evals, upper = _ascend(row, objective.n, tol=tol, max_iter=BA_MAX_ITER)
-        anchors.append(p)
-        uppers.append(upper)
-    if objective.weights is None:
-        return anchors, min(uppers)
-    return anchors, sum(w * u for w, u in zip(objective.weights, uppers) if w > 0.0)
+    def row(p):
+        G, blind = objective.kl_rows(p)
+        return w[on] @ G[on], blind[on].any(axis=0)
+
+    return _ascend(row, objective.n, tol=tol, max_iter=BA_MAX_ITER)
+
+
+def _cut_ascents(objective: _Objective, *, tol: float):
+    """Each cut alone, maximized by ``_weighted_ascent`` at its unit weight.
+    The least of the cuts' upper ends bounds the max-min.  Returns the final
+    laws and that bound."""
+    _values, laws, _evals, uppers = zip(*(_weighted_ascent(objective, e, tol=tol)
+                                          for e in np.eye(len(objective.cuts))))
+    return list(laws), min(uppers)
 
 
 def _mirror_prox(objective: _Objective, starts: Sequence[np.ndarray], upper: float,
                  *, tol: float, iterations: int):
     """Entropic mirror-prox on min over cut laws lam of max over tuple laws p
-    of sum_i lam_i f_i(p) from uniform p and lam (lam held at the weights of
-    a weighted sum).  Every law evaluated is a lower-end candidate: the
-    starts, each extrapolated and updated iterate, and the step-weighted
-    average every ``CHECK_EVERY`` steps.  The rows G at the starts, the
-    average and the extrapolated iterate give upper bounds max_j (l^T G)_j
-    for the cut laws l kept.  Returns the best value, its law, the steps
-    taken and the least upper bound.
+    of sum_i lam_i f_i(p) from uniform p and lam.  Every law evaluated is a
+    lower-end candidate: the starts, each extrapolated and updated iterate,
+    and the step-weighted average every ``CHECK_EVERY`` steps.  The rows G at
+    the starts, the average and the extrapolated iterate give upper bounds
+    max_j (l^T G)_j for the cut laws l kept.  Returns the best value, its
+    law, the steps taken and the least upper bound.
     """
     best = (-np.inf, None)
 
@@ -489,19 +485,13 @@ def _mirror_prox(objective: _Objective, starts: Sequence[np.ndarray], upper: flo
         nonlocal best
         G, blind = objective.kl_rows(p)
         values = G @ p
-        if objective.combine(values) > best[0]:
-            best = (objective.combine(values), p)
+        if values.min() > best[0]:
+            best = (float(values.min()), p)
         return G, blind, values
 
-    def cut_step(lam, values, eta):
-        if objective.weights is not None:
-            return lam
-        return _tilt(lam, -eta * values, CUT_LAW_FLOOR)
-
     cuts = len(objective.cuts)
-    p = np.full(objective.n, 1.0 / objective.n)
-    lam = np.full(cuts, 1.0 / cuts) if objective.weights is None else objective.weights
-    singles = list(np.eye(cuts)) if objective.weights is None else []
+    p, lam = np.full(objective.n, 1.0 / objective.n), np.full(cuts, 1.0 / cuts)
+    singles = list(np.eye(cuts))
     for start in (*starts, p):
         G, blind, values = rows(start)
         upper = min(upper, _dual_bound(G, blind, [lam, *singles]))
@@ -509,17 +499,17 @@ def _mirror_prox(objective: _Objective, starts: Sequence[np.ndarray], upper: flo
     eta, stale, steps, gap = MIRROR_STEP, 0, 0, upper - best[0]
     while gap > tol and steps < iterations:
         steps += 1
-        p_half, lam_half = _tilt(p, eta * (lam @ G)), cut_step(lam, values, eta)
+        p_half = _tilt(p, eta * (lam @ G))
+        lam_half = _tilt(lam, -eta * values, CUT_LAW_FLOOR)
         G_half, blind_half, values_half = rows(p_half)
-        p, lam = _tilt(p, eta * (lam_half @ G_half)), cut_step(lam, values_half, eta)
+        p = _tilt(p, eta * (lam_half @ G_half))
+        lam = _tilt(lam, -eta * values_half, CUT_LAW_FLOOR)
         G, _, values = rows(p)
         p_sum += eta * p_half
         lam_sum += eta * lam_half
         if steps % CHECK_EVERY and steps < iterations:
             continue
-        # a weighted sum is bounded only under its own (unnormalized) weights
-        duals = [lam] if objective.weights is not None else [
-            lam_sum / lam_sum.sum(), lam_half, *singles]
+        duals = [lam_sum / lam_sum.sum(), lam_half, *singles]
         G_bar, blind_bar, _ = rows(p_sum / p_sum.sum())
         upper = min(upper, _dual_bound(G_bar, blind_bar, duals),
                     _dual_bound(G_half, blind_half, duals))
@@ -542,21 +532,30 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
     """Maximize min over message-separating cuts of the chosen cut value.
 
     Every cut kind (``cutset.EXACT`` or one of ``cutset.WEAKENED_KINDS``) is
-    concave in the dependent tree-tuple law p, so the max-min is the saddle
-    value min over cut laws lam of max over p of sum_i lam_i f_i(p), found by
-    entropic mirror-prox on both simplices from the uniform laws, with each
-    cut's own maximizer (a lengthened multiplicative ascent on its row) as a
-    further candidate.  At every law evaluated the cut rows G satisfy
-    f_i(q) <= G_i @ q for every law q: divergence rows for the exact kind,
-    tangent rows for the relaxed ones.  So max_j (lam^T G)_j bounds the
-    optimum for any cut law lam.  The solver keeps the least such bound and
-    the single-cut one, and for every kind stops once it is within ``tol``
-    (bits per block) of the best value (``meta["termination"]``:
-    "certified", or "max_iter" after ``iterations`` mirror-prox steps; the
-    result's ``iterations`` counts those steps).  Multi-message sessions have a region rather than a scalar;
-    pass ``cut_weights`` (a map cut -> weight) to maximize the weighted-sum
-    scalarization instead (also concave, with lam held at the weights; no
-    claim that sweeping weights traces the whole region boundary).
+    concave in the dependent tree-tuple law p.  At every law evaluated the
+    cut rows G satisfy f_i(q) <= G_i @ q for every law q: divergence rows for
+    the exact kind, tangent rows for the relaxed ones.  Both paths below stop
+    once an upper bound is within ``tol`` (bits per block) of the best value,
+    and ``meta["upper_bound"]`` is the least bound, in bits per block.
+
+    A min over two or more cuts is the saddle value min over cut laws lam of
+    max over p of sum_i lam_i f_i(p), so max_j (lam^T G)_j bounds it for any
+    lam.  It is found by entropic mirror-prox on both simplices from the
+    uniform laws, with each cut's own maximizer (``_weighted_ascent`` at the
+    cut's unit weight) as a further candidate and its upper end as a further
+    bound: ``method`` "mirror-prox", ``meta["termination"]`` "certified" or
+    "max_iter" after ``iterations`` mirror-prox steps, which the result's
+    ``iterations`` counts.
+
+    Multi-message sessions have a region rather than a scalar; pass
+    ``cut_weights`` (a map cut -> weight) to maximize the weighted-sum
+    scalarization instead (no claim that sweeping weights traces the whole
+    region boundary).  That sum, like the value of a session with a single
+    separating cut, is a plain concave maximization, solved by one
+    lengthened multiplicative ascent on the weighted row: ``method``
+    "ascent", ``termination`` "certified", "max_iter" or "stalled" as for
+    ``maximize_point_to_point``, and ``iterations`` counts row evaluations,
+    at most ``BA_MAX_ITER`` (the ``iterations`` option does not bound them).
     """
     if kind != EXACT and kind not in WEAKENED_KINDS:
         raise ShapeError(f"unknown cut kind {kind!r}; pick one of "
@@ -569,28 +568,33 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
     cuts = [S for S, msgs in enumerate_cuts(session) if msgs]
     if not cuts:
         raise ShapeError("no cut separates the session's message")
-    weights = None
+    weights = np.ones(1) if len(cuts) == 1 else None
     if cut_weights is not None:
         cut_weights = {frozenset(S): float(w) for S, w in dict(cut_weights).items()}
         unknown = set(cut_weights) - set(cuts)
         if unknown:
             raise ShapeError(f"cut_weights names non-separating cuts {unknown}")
-        weights = [cut_weights.get(S, 0.0) for S in cuts]
-        if any(w < 0 for w in weights):
-            raise ShapeError("cut weights must be nonnegative")
+        weights = np.array([cut_weights.get(S, 0.0) for S in cuts])
+        if not (weights >= 0.0).all() or not np.isfinite(weights).all():
+            raise ShapeError("cut weights must be finite and nonnegative")
     if spaces is None:
         spaces = [enumerate_code_functions(n, cap=cap) for n in ch.nodes]
-    objective = (_CutObjective(ch, spaces, cuts, weights) if kind == EXACT
-                 else _RelaxedObjective(ch, spaces, cuts, kind, weights))
-    anchors, upper = _cut_ascents(objective, tol=tol)
-    value, p, steps, upper = _mirror_prox(objective, anchors, upper,
-                                          tol=tol, iterations=iterations)
+    objective = (_CutObjective(ch, spaces, cuts) if kind == EXACT
+                 else _RelaxedObjective(ch, spaces, cuts, kind))
+    if weights is not None:
+        value, p, steps, upper = _weighted_ascent(objective, weights, tol=tol)
+        method = "ascent"
+        termination = _ba_termination(upper - value, steps, tol, BA_MAX_ITER)
+    else:
+        anchors, upper = _cut_ascents(objective, tol=tol)
+        value, p, steps, upper = _mirror_prox(objective, anchors, upper,
+                                              tol=tol, iterations=iterations)
+        method = "mirror-prox"
+        termination = "certified" if upper - value <= tol else "max_iter"
     return OptimizationResult(
         value=value / ch.L, distribution=p.reshape(objective.sizes),
-        iterations=steps, gap=max(upper - value, 0.0) / ch.L,
-        method="mirror-prox",
-        meta={"cuts": cuts, "upper_bound": upper,
-              "termination": "certified" if upper - value <= tol else "max_iter",
+        iterations=steps, gap=max(upper - value, 0.0) / ch.L, method=method,
+        meta={"cuts": cuts, "upper_bound": upper, "termination": termination,
               "spaces": tuple(spaces)})
 
 
@@ -687,27 +691,3 @@ def support_reduction(ch: BlockChannel, bound: int, *,
         support=active, trees=tuple(trees[i] for i in active), result=result,
         full_value=full_value / ch.L, gap=reached / ch.L,
         certified=reached / ch.L <= tol, bound=bound)
-
-
-# -- exhaustive parameter grids --------------------------------------------------
-
-def grid_maximize(objective: Callable, grids: Sequence[Sequence], *,
-                  cap: int = 10 ** 7) -> OptimizationResult:
-    """Exhaustive maximization over the cartesian product of parameter grids.
-
-    Ties break to the lexicographically smallest parameter vector (the first
-    one visited).
-    """
-    grids = [list(g) for g in grids]
-    total = prod(len(g) for g in grids)
-    if total > cap:
-        raise SizeError(f"grid has {total} points (cap {cap})")
-    best_value = -np.inf
-    best_params = None
-    for params in itertools.product(*grids):
-        value = float(objective(*params))
-        if value > best_value:
-            best_value, best_params = value, params
-    return OptimizationResult(
-        value=best_value, distribution=None, iterations=total, gap=0.0,
-        method="grid", meta={"params": best_params})

@@ -1,15 +1,15 @@
 """Achievable-rate evaluators and special-structure regions.
 
 Relay strategies (decode-forward, partial decode-forward, compress-forward,
-quantize-forward network coding) are evaluated exactly at a supplied scheme;
-the sweep over scheme parameters belongs to the optimizer module.  Regions are
-returned as half-space lists over the rate vector.
+quantize-forward network coding) are evaluated exactly at a supplied scheme.
+Regions are returned as half-space lists over the rate vector.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import reprlib
 from dataclasses import dataclass
 from math import comb, prod
 from typing import Callable, Iterable, Mapping, Sequence
@@ -208,9 +208,11 @@ def qf_rate(ch: BlockChannel, pa: CodeFunctionDistribution | None,
     ``quantizers`` maps node -> (yhat alphabet, kernel); omitted nodes keep
     their observation losslessly.  ``time_share`` optionally lists
     (weight, pa, quantizers) components, conditioning every term on the
-    time-share letter.  Returns both the full per-cut expression and its
-    simpler lower-bound variant (quantized observations only on the far side
-    of the cut).
+    time-share letter; every component must quantize a node onto the same
+    Yhat alphabet, the lossless one Y_k^L where it leaves the node
+    unquantized, or ``ShapeError`` names the node.  Returns both the full
+    per-cut expression and its simpler lower-bound variant (quantized
+    observations only on the far side of the cut).
     """
     if time_share is None and pa is None:
         raise ShapeError("pass either pa or time_share components")
@@ -219,10 +221,20 @@ def qf_rate(ch: BlockChannel, pa: CodeFunctionDistribution | None,
     # Only nodes quantized in some component get a Yhat variable, in every
     # component so that ``mixture`` sees equal variables; the others' Yhat is
     # their own outputs.
-    quantized = sorted({k for _w, _pa, q in components for k in (q or {})})
+    chosen = [dict(q) if q else {} for _w, _pa, q in components]
+    quantized = sorted({k for q in chosen for k in q})
+    schemes = [{k: q.get(k) or identity_quantizer(ch, k) for k in quantized} for q in chosen]
+    for k in quantized:
+        alphabets = [tuple(scheme[k][0]) for scheme in schemes]
+        other = next((a for a in alphabets if a != alphabets[0]), None)
+        if other is not None:
+            raise ShapeError(
+                f"time-share components quantize node {k} onto different Yhat "
+                f"alphabets: {len(alphabets[0])} letters {reprlib.repr(alphabets[0])} "
+                f"and {len(other)} letters {reprlib.repr(other)}")
     joints = []
     spaces = None
-    for weight, pa_t, quantizers_t in components:
+    for (weight, pa_t, _q), scheme in zip(components, schemes):
         outer = functools.reduce(np.multiply.outer,
                                  (pa_t.marginal(k) for k in range(1, pa_t.K + 1)))
         if np.abs(outer - pa_t.probs).max() > PROB_TOL:
@@ -231,10 +243,9 @@ def qf_rate(ch: BlockChannel, pa: CodeFunctionDistribution | None,
             spaces = pa_t.spaces
         elif pa_t.spaces != spaces:
             raise ShapeError("time-share components must share tree spaces")
-        quantizers_t = dict(quantizers_t) if quantizers_t else {}
         joint_t = joint_distribution(pa_t, ch)
         for k in quantized:
-            alphabet, kernel = quantizers_t.get(k) or identity_quantizer(ch, k)
+            alphabet, kernel = scheme[k]
             joint_t = _attach_quantized(joint_t, k, f"Yhat{k}",
                                         pa_t.spaces[k - 1], alphabet, kernel)
         joints.append(joint_t)

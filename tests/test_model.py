@@ -289,11 +289,12 @@ class TestJointDistribution:
         joint = joint_distribution(pa, ch)
         assert np.count_nonzero(joint.table) == 1
 
-    def test_size_cap(self, rng):
+    def test_size_cap(self, rng, monkeypatch):
         ch = random_channel(rng)
         pa = random_pa(rng, channel_spaces(ch))
+        monkeypatch.setattr(model, "MAX_CELLS", 4)
         with pytest.raises(SizeError):
-            joint_distribution(pa, ch, max_cells=4)
+            joint_distribution(pa, ch)
 
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"

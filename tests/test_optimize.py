@@ -31,15 +31,20 @@ Claims:
       and channels, additive-noise, deterministic); marginal maps over the
       cell cap are refused; the value replays at the returned law to 1e-12
       and on the seeded L=1 relay is at least the ascent-and-grid value it
-      replaced, with a finite gap; a weighted relaxed max-min certifies and
-      replays; unknown kinds raise ShapeError before any enumeration, and
-      additive-noise needs a noise block
+      replaced, with a finite gap; unknown kinds raise ShapeError before any
+      enumeration, and additive-noise needs a noise block
+    - fixed cut weightings run one ascent: a weighted relaxed max-min
+      certifies and replays; unit weights on the three separating cuts of the
+      deterministic broadcast spec certify at 1e-9 for the exact, directed,
+      input-output and deterministic kinds, all at one value that replays
+      through the joint to 1e-12; seeded weighted relays at L=1 and L=2
+      certify for the exact and relaxed kinds; a single-cut session equals
+      the point-to-point capacity within their gaps
     - support reduction certifies the documented two- and four-tree optima,
       never exceeds the full optimum, and its branch and bound returns the
       support and value of an unpruned exhaustive search
     - point-to-point and support results say why their run stopped
     - the cardinality budget evaluates to 3 / 4 / 2 on the worked channels
-    - exhaustive grids honor caps and tie-break deterministically
 """
 
 import itertools
@@ -77,7 +82,6 @@ from inblock.optimize import (
     _CutObjective,
     _RelaxedObjective,
     blahut_arimoto,
-    grid_maximize,
     maximize_cutset_minimum,
     maximize_point_to_point,
     project_to_simplex,
@@ -565,11 +569,56 @@ class TestMaxMinCuts:
         weights = {frozenset({1}): 0.25, frozenset({1, 2}): 1.5}
         res = maximize_cutset_minimum(relay_session(), ch, kind="directed-weakened",
                                       cut_weights=weights)
-        assert res.meta["termination"] == "certified" and res.method == "mirror-prox"
+        assert res.meta["termination"] == "certified" and res.method == "ascent"
         values = relaxed_cut_values(ch, res.meta["spaces"], res.distribution,
                                     res.meta["cuts"], "directed-weakened")
         replay = sum(weights[S] * v for S, v in zip(res.meta["cuts"], values))
         assert abs(replay - res.value) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["exact", "directed-weakened",
+                                      "input-output-weakened", "deterministic"])
+    def test_weighted_broadcast_certifies(self, kind):
+        # unit weights on the three separating cuts of the deterministic
+        # broadcast spec; mirror-prox with the cut law frozen at the weights
+        # ended on max_iter at value 2.2516 with gap 0.0409
+        ch, session = parse_spec(SPEC_DIR / "bc_deterministic.json")
+        cuts = [frozenset({1}), frozenset({1, 2}), frozenset({1, 3})]
+        res = maximize_cutset_minimum(session, ch, kind=kind,
+                                      cut_weights={S: 1.0 for S in cuts})
+        assert res.meta["cuts"] == cuts and res.method == "ascent"
+        assert res.meta["termination"] == "certified" and res.gap <= 1e-9 / ch.L
+        assert res.value == pytest.approx(2.2715533032, abs=1e-9)
+        if kind == "exact":
+            joint = joint_distribution(
+                CodeFunctionDistribution(res.meta["spaces"], res.distribution), ch)
+            values = [cut_mutual_information(joint, S) for S in cuts]
+        else:
+            values = relaxed_cut_values(ch, res.meta["spaces"], res.distribution,
+                                        cuts, kind)
+        assert abs(sum(values) - res.value) <= 1e-12
+
+    def test_weighted_relays_certify(self):
+        # 24 seeded relays, weights on both cuts drawn from [0.1, 2]; with the
+        # cut law frozen at the weights, mirror-prox certified 13 of them
+        rng = np.random.default_rng(20261018)
+        kinds = ("exact", "directed-weakened", "input-output-weakened")
+        cuts = [frozenset({1}), frozenset({1, 2})]
+        for case in range(24):
+            ch = random_relay_channel(rng, L=1 if case < 16 else 2)
+            weights = dict(zip(cuts, rng.uniform(0.1, 2.0, size=2)))
+            res = maximize_cutset_minimum(relay_session(), ch, kind=kinds[case % 3],
+                                          cut_weights=weights)
+            assert res.meta["termination"] == "certified", (case, res.gap)
+            assert res.gap <= 1e-9 / ch.L
+
+    def test_single_cut_session_is_point_to_point(self):
+        ch = binary_feedback_channel(0.1)
+        session = NetworkSession(2, [Message("w", 1, frozenset({2}))])
+        got = maximize_cutset_minimum(session, ch)
+        want = maximize_point_to_point(ch)
+        assert got.method == "ascent" and got.meta["termination"] == "certified"
+        assert got.iterations <= optimize.BA_MAX_ITER
+        assert abs(got.value - want.value) <= got.gap + want.gap
 
     def test_termination_reported(self, rng):
         ch = state_addition_channel()
@@ -794,42 +843,6 @@ class TestSupportReduction:
         sr = support_reduction(ch, 2, objective=uniform_information)
         assert sr.result.value == pytest.approx(0.5, abs=1e-9)
         assert {t.tables[1] for t in sr.trees} == {(0, 1), (1, 0)}
-
-
-class TestGridMaximize:
-    def test_one_point_grid(self):
-        res = grid_maximize(lambda x: -x * x, [[3.0]])
-        assert res.value == -9.0
-        assert res.meta["params"] == (3.0,)
-
-    def test_matches_capacity_solver_to_grid_resolution(self):
-        eps = 0.2
-        W = np.array([[1 - eps, eps], [eps, 1 - eps], [0.5, 0.5]])
-        want, _, _, _ = blahut_arimoto(W)
-
-        def objective(p, q):
-            if p + q > 1.0 + 1e-12:
-                return -np.inf
-            r = np.array([p, q, 1.0 - p - q])
-            return mutual_information_of(r, W)
-
-        grid = np.round(np.linspace(0, 1, 101), 10)
-        res = grid_maximize(objective, [grid, grid])
-        assert res.value <= want + 1e-9
-        assert res.value == pytest.approx(want, abs=0.01)
-
-    def test_concave_argmax_within_one_cell(self):
-        grid = np.linspace(0, 1, 101)
-        res = grid_maximize(lambda x: -(x - 0.314) ** 2, [grid])
-        assert abs(res.meta["params"][0] - 0.314) <= 0.01
-
-    def test_lexicographic_tie_break(self):
-        res = grid_maximize(lambda x, y: 0.0, [[0, 1], [0, 1]])
-        assert res.meta["params"] == (0, 0)
-
-    def test_cap(self):
-        with pytest.raises(SizeError):
-            grid_maximize(lambda *a: 0.0, [range(1000)] * 3, cap=10 ** 6)
 
 
 class TestSimplexTools:

@@ -14,8 +14,10 @@ Claims:
       lossless quantizers, its simplified variant never exceeds the full one,
       and every strategy stays below the certified single-cut upper bounds;
       its lossless default equals explicit identity quantizers to 1e-12 (also
-      in a time-share with a quantized component), and a product law built by
-      the plain constructor is accepted
+      in a time-share with a quantized component), a product law built by
+      the plain constructor is accepted, and a time-share whose components
+      quantize a node onto different alphabets is refused, naming the node,
+      before any joint is built
     - the common-feedback region's two forms agree on random schemes, a
       codeword-only scheme reduces to the classic region, and the adder with
       shared feedback matches the cut-set rows of the copied-output spec
@@ -33,6 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from inblock import strategies
 from inblock.catalog import binary_adder_mac, relay_without_delay_example
 from inblock.cutset import cut_mutual_information, cutset_region
 from inblock.errors import ShapeError
@@ -659,3 +662,20 @@ class TestQfTimeShare:
                          time_share=[(0.3, pa1, None), (0.7, pa2, None)])
         upper = maximize_cutset_minimum(relay_session(), ch).meta["upper_bound"]
         assert report.rate <= upper / ch.L + 1e-9
+
+    @pytest.mark.parametrize("second", ["lossless", "three letters"])
+    def test_differing_alphabets_name_the_node(self, rng, monkeypatch, second):
+        # node 2 of the line outputs two paths, so its lossless alphabet has
+        # two letters, and a two-letter quantizer still differs from it
+        ch = parse_spec(SPEC / "qf_line.json")[0]
+        pa = random_pa(rng, channel_spaces(ch), dependent=False)
+        coarse = {2: (("a", "b"), lambda cf, y: [0.5, 0.5])}
+        other = {"lossless": None,
+                 "three letters": {2: (("a", "b", "c"), lambda cf, y: [1 / 3] * 3)}}[second]
+        built = []
+        monkeypatch.setattr(strategies, "joint_distribution",
+                            lambda *args: built.append(args))
+        with pytest.raises(ShapeError, match="node 2"):
+            qf_rate(ch, None, None, sinks={3},
+                    time_share=[(0.5, pa, coarse), (0.5, pa, other)])
+        assert not built
