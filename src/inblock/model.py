@@ -14,15 +14,20 @@ per-time component lists in lexicographic order, so a tree's component at each
 time is a mixed-radix digit of its position.  ``tree_tables`` reads those
 digits arithmetically, and a ``CodeFunction`` is built only for a tree read.
 
-Every rollout runs on one array engine, ``roll_tuples``, which moves a chunk
-of tree tuples through the block as a frontier of arrays.  At each time every
-node's input is gathered from its tree table (per time, distinct components x
-feedback histories) at its feedback source's output string so far; kernel rows
-are found by ``searchsorted`` in int64 history keys compiled once per channel,
-and each path expands over its row's positive entries.  Callers scatter the
-paths into their tables with ``np.bincount``; ``joint_paths`` gives each path
-its cell in the block joint, for ``joint_distribution`` and for the relaxed
-max-min's per-tuple marginals.
+The code trees decide only which input string is sent after each fed-back
+output string; the channel acts through its causally conditioned block law
+Q = P(y^L || x^L) alone (Kramer 1998).  ``BlockChannel.block_law`` rolls every
+input string through the kernel rows once per channel, as a frontier of arrays
+with rows found by ``searchsorted`` in int64 history keys, and keeps Q densely
+over input strings and sparsely over the output strings with mass.  Every
+rollout then reads a tree tuple's output law by index: P(y | tuple) =
+Q[x(tuple, y), y], where x(tuple, y) is mixed-radix arithmetic on the trees'
+per-time tables (distinct components x feedback histories) at y's feedback
+prefixes.  ``tuple_laws`` sums those terms by broadcasting over a full tree
+space's per-time digits, adding its last digit slice by slice.  Callers place
+the gathered paths in their tables; ``joint_paths`` gives each its cell in the
+block joint, for ``joint_distribution`` and for the relaxed max-min's
+per-tuple marginals.
 """
 
 from __future__ import annotations
@@ -264,7 +269,9 @@ class BlockChannel:
     ``kernels[i]`` maps ``(x_hist, y_hist)`` to a row over the joint output
     tuple at time i+1, where ``x_hist`` collects the input tuples of times
     1..i+1 and ``y_hist`` the output tuples of times 1..i.  Rows need only
-    exist for reachable histories.
+    exist for histories reachable under some input string: ``block_law``
+    rolls every input string, so a missing one of those raises ``ShapeError``
+    on first use, even when the code trees at hand never reach it.
     """
 
     def __init__(self, nodes: Sequence[NodeSpec], kernels: Sequence[dict], *,
@@ -329,38 +336,76 @@ class BlockChannel:
                     raise InvalidDistributionError(
                         f"kernel {i}: row for {(x_hist, y_hist)!r} sums to {total!r}")
 
+    def _strings(self, paths: np.ndarray, side: str) -> tuple:
+        """Per node, its ``side`` string (a lexicographic index) in each of the
+        time-major joint paths ``paths``."""
+        alphabets = [getattr(n, side) for n in self.nodes]
+        digits = np.unravel_index(paths, [len(a[i]) for i in range(self.L) for a in alphabets])
+        return tuple(np.ravel_multi_index(digits[k::self.K], [len(a) for a in alpha])
+                     for k, alpha in enumerate(alphabets))
+
     @cached_property
-    def _compiled(self) -> tuple:
-        """Per time, the kernel as sorted int64 keys of its row histories (each
-        node's input string, then each node's output string) and, in key order,
-        the rows' positive entries in dict order (row starts, per-node output
-        indices, weights)."""
-        x_index = [[{a: j for j, a in enumerate(alpha)} for alpha in n.inputs]
-                   for n in self.nodes]
-        y_index = [[{a: j for j, a in enumerate(alpha)} for alpha in n.outputs]
-                   for n in self.nodes]
-        if prod(len(a) for n in self.nodes for a in n.inputs + n.outputs) >= 2 ** 63:
+    def block_law(self) -> "BlockLaw":
+        """Q = P(y^L || x^L): every input string rolled through the kernel rows.
+
+        Each kernel is compiled into sorted int64 keys of its rows' histories,
+        time-major over joint letters (x_1, y_1, ..., x_i), with the rows'
+        positive entries in dict order.  A frontier of paths then moves
+        through the block: at each time every path takes every joint input
+        letter, its row is found by ``searchsorted`` and the path expands over
+        the row's entries.  Raises ``ShapeError`` naming the first history,
+        in that order, without a row.
+        """
+        xl, yl = ([list(itertools.product(*(getattr(n, side)[i] for n in self.nodes)))
+                   for i in range(self.L)] for side in ("inputs", "outputs"))
+        cx, cy = [len(a) for a in xl], [len(a) for a in yl]
+        if prod(cx) * prod(cy) >= 2 ** 63 - 1:
             raise SizeError("kernel histories do not fit 64-bit keys")
-        rows = []
+        x_code = [{x: j for j, x in enumerate(a)} for a in xl]
+        y_code = [{y: j for j, y in enumerate(a)} for a in yl]
+        key, prob = np.zeros(1, dtype=np.int64), np.ones(1)
         for i, kernel in enumerate(self.kernels):
-            x_slots = [(k, t) for k in range(self.K) for t in range(i + 1)]
-            y_slots = [(k, t) for k in range(self.K) for t in range(i)]
-            radix = ([len(x_index[k][t]) for k, t in x_slots]
-                     + [len(y_index[k][t]) for k, t in y_slots])
-            keyed = []
+            rows = []
             for (x_hist, y_hist), row in kernel.items():
-                key = np.ravel_multi_index(
-                    [x_index[k][t][x_hist[t][k]] for k, t in x_slots]
-                    + [y_index[k][t][y_hist[t][k]] for k, t in y_slots], radix)
-                keyed.append((key, [([y_index[k][i][a] for k, a in enumerate(y)], w)
-                                    for y, w in row.items() if w > 0.0]))
-            keyed.sort(key=lambda kv: kv[0])
-            entries = [e for _key, row in keyed for e in row]
-            rows.append((np.array([key for key, _row in keyed], dtype=np.int64),
-                         np.cumsum([0] + [len(row) for _key, row in keyed]),
-                         np.array([y for y, _w in entries], dtype=np.intp).reshape(-1, self.K),
-                         np.array([w for _y, w in entries], dtype=float)))
-        return tuple(rows)
+                h = 0
+                for t in range(i):
+                    h = (h * cx[t] + x_code[t][x_hist[t]]) * cy[t] + y_code[t][y_hist[t]]
+                rows.append((h * cx[i] + x_code[i][x_hist[i]],
+                             [(y_code[i][y], w) for y, w in row.items() if w > 0.0]))
+            rows.sort(key=itemgetter(0))
+            entries = [e for _h, row in rows for e in row]
+            # a last key past every history, so that every search lands on a key
+            keys = np.array([h for h, _row in rows] + [2 ** 63 - 1], dtype=np.int64)
+            starts = np.cumsum([0] + [len(row) for _h, row in rows])
+            codes = np.array([y for y, _w in entries], dtype=np.int64)
+            weights = np.array([w for _y, w in entries], dtype=float)
+
+            key = (key[:, None] * cx[i] + np.arange(cx[i])).ravel()
+            prob = np.repeat(prob, cx[i])
+            pos = np.searchsorted(keys, key)
+            miss = np.flatnonzero(keys[pos] != key)
+            if len(miss):
+                d = np.unravel_index(int(key[miss[0]]),
+                                     [r for t in range(i) for r in (cx[t], cy[t])] + [cx[i]])
+                history = (tuple(xl[t][d[2 * t]] for t in range(i + 1)),
+                           tuple(yl[t][d[2 * t + 1]] for t in range(i)))
+                raise ShapeError(f"kernel {i + 1} has no row for history {history!r}")
+            count = starts[pos + 1] - starts[pos]
+            step = np.repeat(np.arange(len(pos)), count)
+            entry = np.arange(len(step)) + np.repeat(starts[pos] - np.cumsum(count) + count,
+                                                     count)
+            key = key[step] * cy[i] + codes[entry]
+            prob = prob[step] * weights[entry]
+        digits = np.unravel_index(key, [r for t in range(self.L) for r in (cx[t], cy[t])])
+        support, column = np.unique(np.ravel_multi_index(digits[1::2], cy),
+                                    return_inverse=True)
+        if prod(cx) * len(support) > MAX_CELLS:
+            raise SizeError(f"block law would need {prod(cx) * len(support)} cells "
+                            f"(cap {MAX_CELLS})")
+        law = np.zeros((prod(cx), len(support)))
+        law[np.ravel_multi_index(digits[0::2], cx), column] = prob
+        return BlockLaw(self._strings(np.arange(prod(cx)), "inputs"),
+                        self._strings(support, "outputs"), law)
 
     def is_deterministic(self, tol: float = PROB_TOL) -> bool:
         return all(max(row.values()) >= 1.0 - tol
@@ -439,7 +484,17 @@ class BlockChannel:
 
 # -- rollouts and joint laws ---------------------------------------------------
 
-ROLLOUT_CHUNK = 512  # tree tuples rolled together; bounds the engine's arrays
+ROLLOUT_CHUNK = 1 << 16  # (tree tuple, output string) pairs gathered together
+
+
+class BlockLaw(NamedTuple):
+    """A channel's causally conditioned block law Q = P(y^L || x^L), over its
+    input paths (rows) and the output paths with mass under some input path
+    (support columns), both time-major over joint letters."""
+
+    inputs: tuple       # per node, its input string (lexicographic) in each row
+    outputs: tuple      # per node, its output string in each support column
+    law: np.ndarray     # rows x support columns
 
 
 class TreeLevel(NamedTuple):
@@ -485,52 +540,72 @@ def tree_tables(ch: BlockChannel,
     return out
 
 
-def roll_tuples(ch: BlockChannel, trees: list, tuples: np.ndarray):
-    """Roll tree tuples through the block together, ``ROLLOUT_CHUNK`` at a time.
+def _is_product(per_time: list[TreeLevel]) -> bool:
+    """Whether a node's trees are every combination of its components in C
+    order, as in a ``TreeSpace``: each tree's component is a digit of its
+    position."""
+    n = stride = len(per_time[0].index)
+    if prod(len(level.components) for level in per_time) != n:
+        return False
+    for level in per_time:
+        m = len(level.components)
+        stride //= m
+        if not (level.index.reshape(-1, m, stride) == np.arange(m)[:, None]).all():
+            return False
+    return True
+
+
+def tuple_laws(ch: BlockChannel, trees: list, tuples: np.ndarray):
+    """Every tree tuple's output law read from the block law by index.
 
     ``tuples`` holds flat C-order indices into the product of the spaces
-    behind ``trees``.  Per chunk this yields ``(chunk, owner, xs, ys, prob)``
-    over the paths with positive probability, depth-first through each tuple's
-    kernel rows: the path's tuple as a position in ``chunk``, per node its
-    input and output strings as lexicographic indices, and its probability.
+    behind ``trees``.  A tuple fixes each node's input string as a function of
+    the output string its node reads, so P(y | tuple) = Q[x(tuple, y), y].
+    x(tuple, y) is a sum over tree components of their inputs (from the
+    ``TreeLevel`` tables, at the feedback prefixes of y) times their
+    mixed-radix weights.  The sum runs over the product's axes: one per time
+    for a node whose trees are a full product (``_is_product``), else one
+    over the node's trees.  All axes but the last are summed once by
+    broadcasting; the last is added per slice of at most ``ROLLOUT_CHUNK``
+    pairs, by broadcasting too where a slice holds whole runs of it.  Per slice
+    this yields ``(chunk, entry, prob)``, both of shape (len(chunk), support
+    columns): the flat position of Q[x(tuple, y), y] in ``ch.block_law.law``
+    and its value, zero where the tuple does not reach y.
     """
-    rows = ch._compiled
-    K = ch.K
-    sizes = [len(per_time[0].index) for per_time in trees]
-    readers = [(k, n.feedback_node - 1) for k, n in enumerate(ch.nodes)
-               if any(len(a) > 1 for a in n.inputs)]
-    for lo in range(0, len(tuples), ROLLOUT_CHUNK):
-        chunk = tuples[lo:lo + ROLLOUT_CHUNK]
-        tree = np.unravel_index(chunk, sizes)
-        owner = np.arange(len(chunk))
-        prob = np.ones(len(chunk))
-        xs = [np.zeros(len(chunk), dtype=np.int64) for _ in range(K)]
-        ys = [np.zeros(len(chunk), dtype=np.int64) for _ in range(K)]
-        for i, (keys, starts, codes, weights) in enumerate(rows):
-            for k, src in readers:
-                level = trees[k][i]
-                xs[k] = (xs[k] * len(ch.nodes[k].inputs[i])
-                         + level.table[level.index[tree[k][owner]], ys[src]])
-            key = np.ravel_multi_index(
-                xs + ys, [prod(map(len, n.inputs[:i + 1])) for n in ch.nodes]
-                + [prod(map(len, n.outputs[:i])) for n in ch.nodes])
-            pos = np.searchsorted(keys, key)
-            hit = pos < len(keys)
-            hit[hit] = keys[pos[hit]] == key[hit]
-            if not hit.all():
-                j = np.flatnonzero(~hit)[0]
-                history = (_spell(ch, [c[j] for c in xs], "inputs", i + 1),
-                           _spell(ch, [c[j] for c in ys], "outputs", i))
-                raise ShapeError(f"kernel {i + 1} has no row for history {history!r}")
-            first, count = starts[pos], starts[pos + 1] - starts[pos]
-            step = np.repeat(np.arange(len(pos)), count)
-            entry = np.arange(len(step)) + np.repeat(first - np.cumsum(count) + count, count)
-            owner, prob = owner[step], prob[step] * weights[entry]
-            letters = codes[entry]
-            for k, node in enumerate(ch.nodes):
-                xs[k] = xs[k][step]
-                ys[k] = ys[k][step] * len(node.outputs[i]) + letters[:, k]
-        yield chunk, owner, xs, ys, prob
+    block = ch.block_law
+    s = block.law.shape[1]
+    # the weight of node k's letter at time i in a flat position of Q is stride[i, k]
+    dims = np.array([len(n.inputs[i]) for i in range(ch.L) for n in ch.nodes])
+    stride = (np.cumprod(dims[::-1])[::-1] // dims * s).reshape(ch.L, ch.K)
+    axes = []
+    for k, (node, per_time) in enumerate(zip(ch.nodes, trees)):
+        if all(len(a) == 1 for a in node.inputs):   # sends nothing
+            axes.append(np.zeros((len(per_time[0].index), s), dtype=np.int64))
+            continue
+        fed = ch.nodes[node.feedback_node - 1].outputs
+        terms = [level.table.astype(np.int64)[:, block.outputs[node.feedback_node - 1]
+                                              // prod(map(len, fed[i:]))] * stride[i, k]
+                 for i, level in enumerate(per_time)]
+        if len(per_time[0].index) > 1 and _is_product(per_time):
+            axes += terms
+        else:
+            axes.append(sum(t[level.index] for t, level in zip(terms, per_time)))
+    prefix = np.arange(s, dtype=np.int64)[None, :] + sum(a for a in axes if len(a) == 1)
+    *axes, last = [a for a in axes if len(a) > 1] or [np.zeros((1, s), dtype=np.int64)]
+    for a in axes:
+        prefix = (prefix[:, None, :] + a[None, :, :]).reshape(-1, s)
+    m = len(last)
+    size = max(1, ROLLOUT_CHUNK // s)
+    size = size // m * m or size   # whole runs of the last axis where they fit
+    for lo in range(0, len(tuples), size):
+        chunk = tuples[lo:lo + size]
+        if (chunk[0] % m == 0 and len(chunk) % m == 0
+                and np.array_equal(chunk, np.arange(chunk[0], chunk[0] + len(chunk)))):
+            q = chunk[0] // m
+            entry = (prefix[q:q + len(chunk) // m, None, :] + last).reshape(-1, s)
+        else:
+            entry = prefix[chunk // m] + last[chunk % m]
+        yield chunk, entry, block.law.ravel().take(entry)
 
 
 def _spell(ch: BlockChannel, codes: Sequence[int], side: str, depth: int) -> tuple:
@@ -542,12 +617,24 @@ def _spell(ch: BlockChannel, codes: Sequence[int], side: str, depth: int) -> tup
                  for t in range(depth))
 
 
+def _paths(ch: BlockChannel, entry: np.ndarray, prob: np.ndarray):
+    """The (tuple, output string) pairs of a ``tuple_laws`` slice with mass:
+    their tuples as positions in the slice, per node their input and output
+    strings as lexicographic indices, and their probabilities."""
+    block = ch.block_law
+    owner, j = np.nonzero(prob)
+    row = entry[owner, j] // block.law.shape[1]
+    return (owner, [x[row] for x in block.inputs], [y[j] for y in block.outputs],
+            prob[owner, j])
+
+
 def rollout(ch: BlockChannel, cfs: Sequence[CodeFunction]):
     """Yield (y_path, x_path, prob) over output paths with positive probability
-    under one code function per node: ``roll_tuples`` on a single tuple, with
+    under one code function per node: ``tuple_laws`` on a single tuple, with
     the paths spelled in labels."""
     trees = tree_tables(ch, [[cf] for cf in cfs])
-    for _chunk, _owner, xs, ys, prob in roll_tuples(ch, trees, np.zeros(1, dtype=np.intp)):
+    for _chunk, entry, prob in tuple_laws(ch, trees, np.zeros(1, dtype=np.intp)):
+        _owner, xs, ys, prob = _paths(ch, entry, prob)
         for j, p in enumerate(prob.tolist()):
             yield (_spell(ch, [c[j] for c in ys], "outputs", ch.L),
                    _spell(ch, [c[j] for c in xs], "inputs", ch.L), p)
@@ -631,15 +718,17 @@ def joint_variables(ch: BlockChannel, trees: list) -> list[Variable]:
 
 
 def joint_paths(ch: BlockChannel, trees: list, tuples: np.ndarray):
-    """``roll_tuples`` with each path placed in the block joint: per chunk,
-    every path's tuple (a flat index, as in ``tuples``), its flat cell in the
-    C-order table over ``joint_variables(ch, trees)``, and its probability."""
+    """``tuple_laws`` with each path of positive probability placed in the
+    block joint: per slice, every path's tuple (a flat index, as in
+    ``tuples``), its flat cell in the C-order table over
+    ``joint_variables(ch, trees)``, and its probability."""
     # a node's X (or Y) variables are its input (output) string, time-minor
     radix = ([len(level.components) for per_time in trees for level in per_time]
              + [prod(map(len, n.inputs)) for n in ch.nodes]
              + [prod(map(len, n.outputs)) for n in ch.nodes])
     sizes = [len(per_time[0].index) for per_time in trees]
-    for chunk, owner, xs, ys, prob in roll_tuples(ch, trees, tuples):
+    for chunk, entry, prob in tuple_laws(ch, trees, tuples):
+        owner, xs, ys, prob = _paths(ch, entry, prob)
         tuple_index = chunk[owner]
         tree = np.unravel_index(tuple_index, sizes)
         components = [level.index[tree[k]] for k, per_time in enumerate(trees)

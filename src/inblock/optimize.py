@@ -25,6 +25,7 @@ otherwise.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from math import comb, prod
 from typing import Callable, Iterable, Sequence
@@ -42,8 +43,8 @@ from .model import (
     enumerate_code_functions,
     joint_paths,
     joint_variables,
-    roll_tuples,
     tree_tables,
+    tuple_laws,
 )
 from .probability import MAX_CELLS, JointBlockDistribution
 
@@ -177,11 +178,15 @@ def tuple_channel_matrix(ch: BlockChannel, spaces: Sequence[Sequence[CodeFunctio
     radix = [prod(map(len, n.outputs)) for n in nodes]
     width = prod(radix)
     n = prod(len(s) for s in spaces)
+    trees = tree_tables(ch, spaces)
     W = np.zeros((n, width))
-    for chunk, owner, _xs, ys, prob in roll_tuples(ch, tree_tables(ch, spaces), np.arange(n)):
-        col = np.ravel_multi_index([ys[node.node - 1] for node in nodes], radix)
-        W[chunk[0]:chunk[0] + len(chunk)] = np.bincount(
-            owner * width + col, prob, minlength=len(chunk) * width).reshape(-1, width)
+    col = np.ravel_multi_index([ch.block_law.outputs[node.node - 1] for node in nodes], radix)
+    one_to_one = np.array_equal(col, np.arange(width))   # column j is support column j
+    for chunk, _entry, prob in tuple_laws(ch, trees, np.arange(n)):
+        if not one_to_one:   # sum the support columns into the observed ones
+            prob = np.bincount((np.arange(len(chunk))[:, None] * width + col).ravel(),
+                               prob.ravel(), minlength=len(chunk) * width).reshape(-1, width)
+        W[chunk[0]:chunk[0] + len(chunk)] = prob
     return W
 
 
@@ -204,21 +209,30 @@ def maximize_point_to_point(ch: BlockChannel, *, feedback: bool = True,
     without it only the constant (codeword) trees enter, which is the
     vector-alphabet no-feedback capacity.  ``meta["termination"]`` is
     "certified" (bracket at most ``tol``), "max_iter", or "stalled" (the law
-    stopped moving first, as it can at ``tol=0``).
+    stopped moving first, as it can at ``tol=0``).  ``meta["timings"]`` gives
+    the seconds spent in tree enumeration, in the rollout into the
+    tree-to-output matrix (with the channel's first block-law build) and in
+    the optimizer (BA).
     """
     require_point_to_point(ch)
     node = ch.nodes[0]
+    clock = [time.perf_counter()]
     if feedback:
         trees = enumerate_code_functions(node, cap=cap)
     else:
         trees = constant_code_functions(node.inputs, node.feedback_alphabets, node=1)
+    clock.append(time.perf_counter())
     W = tuple_channel_matrix(ch, [trees, [receiver_code_function(ch, 2)]], [2])
+    clock.append(time.perf_counter())
     value, r, iters, gap = blahut_arimoto(W, tol=tol, max_iter=max_iter)
+    clock.append(time.perf_counter())
     return OptimizationResult(
         value=value / ch.L, distribution=r, iterations=iters, gap=gap / ch.L,
         method="ba", meta={"trees": trees, "feedback": feedback,
                            "bits_per_block": value,
-                           "termination": _ba_termination(gap, iters, tol, max_iter)})
+                           "termination": _ba_termination(gap, iters, tol, max_iter),
+                           "timings": dict(zip(("enumeration", "rollout", "optimizer"),
+                                               np.diff(clock).tolist()))})
 
 
 def ptp_support_bound(ch: BlockChannel) -> int:

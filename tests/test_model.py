@@ -14,13 +14,17 @@ Claims:
       another node's output echoes it)
     - the block joint normalizes, marginalizes to pa x induced channel, and
       collapses to a point mass for deterministic channels under point pa
-    - the array rollout engine's joint, tree-to-output matrix and induced
+    - the block-law engine's joint, tree-to-output matrix and induced
       channel match the dictionary-loop rollout to 1e-12 on random channels,
-      random relays, the shared-feedback adder MAC and every block spec, and
-      its chunk size never changes a table or the joint's paths
+      random relays, the shared-feedback adder MAC and every block spec (the
+      deterministic broadcast one, whose block-law support is wider than any
+      input string's, always), over full tree spaces and over hand-built
+      lists (shuffled random subsets, constant trees only), and its slice
+      size never changes a table or the joint's paths
     - code trees over other alphabets than their node's, kernel histories
-      outside the alphabets and missing reachable kernel rows raise
-      ShapeError naming the node, the history or the kernel time
+      outside the alphabets and kernel rows missing under some input string
+      raise ShapeError naming the node, the history or the kernel time, the
+      last also for trees that never reach the row
     - embeddings keep their silent slots and reduce correctly in degenerate
       cases (constant state, single fading state, L=1 fading)
 """
@@ -33,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inblock import model
@@ -302,6 +306,19 @@ BLOCK_SPECS = tuple(p.name for p in sorted(SPEC_DIR.glob("*.json"))
                     if isinstance(parse_spec(p), tuple))
 
 
+def engine_spaces(trees, ch, rng):
+    """Every node's full tree space, or hand-built lists: a random nonempty
+    subset of its trees in shuffled order, or its constant trees only."""
+    if trees == "constant":
+        return [constant_code_functions(n.inputs, n.feedback_alphabets, node=n.node)
+                for n in ch.nodes]
+    spaces = channel_spaces(ch)
+    if trees == "subset":
+        return [[space[j] for j in rng.permutation(len(space))[:rng.integers(1, len(space) + 1)]]
+                for space in spaces]
+    return spaces
+
+
 def engine_case(case, rng):
     if case == "random":
         return random_channel(rng)
@@ -317,11 +334,19 @@ def engine_case(case, rng):
 class TestRolloutEngine:
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from(("random", "relay", "adder_mac") + BLOCK_SPECS),
+           trees=st.sampled_from(("full", "subset", "constant")),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_dictionary_rollout(self, case, seed):
+    # the block law's output support is wider than any one input string's
+    @example(case="bc_deterministic.json", trees="full", seed=0)
+    @example(case="bc_deterministic.json", trees="subset", seed=1)
+    @example(case="random", trees="subset", seed=2)
+    @example(case="relay", trees="subset", seed=3)
+    @example(case="random", trees="constant", seed=4)
+    @example(case="two_way_feedback.json", trees="constant", seed=5)
+    def test_matches_dictionary_rollout(self, case, trees, seed):
         rng = np.random.default_rng(seed)
         ch = engine_case(case, rng)
-        spaces = channel_spaces(ch)
+        spaces = engine_spaces(trees, ch, rng)
         pa = random_pa(rng, spaces, dependent=bool(rng.integers(2)))
         got, want = cells_of(joint_distribution(pa, ch)), bf_joint_cells(pa, ch)
         assert got.keys() == want.keys()
@@ -542,6 +567,28 @@ class TestValidationErrors:
             tuple_channel_matrix(broken, spaces, [2])
         with pytest.raises(ShapeError, match=message):
             joint_distribution(CodeFunctionDistribution.uniform(spaces), broken)
+
+    def test_missing_row_raises_for_trees_that_never_reach_it(self):
+        # every input string is rolled once per channel, so a row missing
+        # under some input string fails on first use, also for a hand-built
+        # tree list that never sends that string
+        ch = binary_feedback_channel(0.1)
+        kernels = [dict(k) for k in ch.kernels]
+        history = (((1, 0), (0, 0)), ((1, 1),))
+        del kernels[1][history]
+        broken = BlockChannel(ch.nodes, kernels)
+        rx = receiver_code_function(broken, 2)
+        zeros = [t for t in enumerate_code_functions(broken.nodes[0]) if t.tables[0] == (0,)]
+        W = bf_tuple_channel_matrix(broken, [zeros, [rx]], [2])   # never looks the row up
+        assert W.sum(axis=1) == pytest.approx(np.ones(len(zeros)))
+        message = re.escape(f"kernel 2 has no row for history {history!r}")
+        calls = (lambda: tuple_channel_matrix(broken, [zeros, [rx]], [2]),
+                 lambda: induced_channel(broken, [zeros[0], rx]),
+                 lambda: joint_distribution(
+                     CodeFunctionDistribution.uniform([zeros, [rx]]), broken))
+        for call in calls:
+            with pytest.raises(ShapeError, match=message):
+                call()
 
     def test_decode_own_message_rejected(self):
         with pytest.raises(ShapeError):

@@ -44,7 +44,8 @@ Claims:
     - support reduction certifies the documented two- and four-tree optima,
       never exceeds the full optimum, and its branch and bound returns the
       support and value of an unpruned exhaustive search
-    - point-to-point and support results say why their run stopped
+    - point-to-point and support results say why their run stopped, and
+      point-to-point results give the seconds of enumeration, rollout and BA
     - the cardinality budget evaluates to 3 / 4 / 2 on the worked channels
 """
 
@@ -335,6 +336,13 @@ class TestPointToPoint:
         assert res.meta["termination"] == "max_iter" and res.gap >= 1e-9
         sr = support_reduction(ch, 2)
         assert sr.result.meta["termination"] == "certified"
+
+    def test_stage_times_reported(self):
+        for feedback in (True, False):
+            timings = maximize_point_to_point(binary_feedback_channel(0.25),
+                                              feedback=feedback).meta["timings"]
+            assert set(timings) == {"enumeration", "rollout", "optimizer"}
+            assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
 
     def test_zero_tol_certifies_or_stalls(self):
         with warnings.catch_warnings():
