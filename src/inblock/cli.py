@@ -126,7 +126,8 @@ def cmd_capacity(args) -> RunReport:
                            termination=result.meta["termination"],
                            bracket_gap=f"{result.gap:.3e}",
                            trees=len(result.meta["trees"]),
-                           feedback=not args.no_feedback)
+                           feedback=not args.no_feedback,
+                           **{f"{stage}_s": t for stage, t in result.meta["timings"].items()})
     return report
 
 

@@ -498,11 +498,26 @@ class BlockLaw(NamedTuple):
 
 
 class TreeLevel(NamedTuple):
-    """One node's space of code trees at one time."""
+    """One node's space of code trees at one time.  A full space reads each
+    tree's component as the mixed-radix digit of its position; a hand-built
+    list keeps every tree's component."""
 
-    index: np.ndarray   # every tree's component
     components: tuple   # the distinct components, in order of first appearance
     table: np.ndarray   # their inputs as alphabet indices, components x histories
+    size: int           # the trees in the node's space
+    stride: int = 0     # a full space: positions between steps of this digit
+    listed: np.ndarray | None = None   # a hand-built list: every tree's component
+
+    def component(self, trees: np.ndarray) -> np.ndarray:
+        """The component of each tree at the positions ``trees``."""
+        if self.stride:
+            return (trees // self.stride % len(self.components)).astype(np.int32)
+        return self.listed[trees]
+
+    @property
+    def index(self) -> np.ndarray:
+        """Every tree's component."""
+        return self.component(np.arange(self.size))
 
 
 def tree_tables(ch: BlockChannel,
@@ -519,40 +534,25 @@ def tree_tables(ch: BlockChannel,
             raise ShapeError(f"node {node.node}: code functions over other alphabets "
                              "than the node's inputs and feedback")
         levels = None if full else [cf.tables for cf in space]
-        stride = len(space)
+        stride, listed = len(space) if full else 0, None
         per_time = []
         for i, alphabet in enumerate(inputs):
-            if full:   # the mixed-radix digit of every tree's position
+            if full:
                 components = space.components[i]
                 stride //= len(components)
-                index = (np.arange(len(space)) // stride % len(components)).astype(np.int32)
             else:
                 column = list(map(itemgetter(i), levels))
                 position = {c: j for j, c in enumerate(dict.fromkeys(column))}
-                index = np.fromiter(map(position.__getitem__, column), dtype=np.int32,
-                                    count=len(column))
+                listed = np.fromiter(map(position.__getitem__, column), dtype=np.int32,
+                                     count=len(column))
                 components = tuple(position)
             letter = {x: j for j, x in enumerate(alphabet)}
             table = np.array([[letter[x] for x in c] for c in components], dtype=np.int32)
             n_hist = prod(len(a) for a in feedbacks[:i])
-            per_time.append(TreeLevel(index, components, table.reshape(-1, n_hist)))
+            per_time.append(TreeLevel(components, table.reshape(-1, n_hist), len(space),
+                                      stride, listed))
         out.append(per_time)
     return out
-
-
-def _is_product(per_time: list[TreeLevel]) -> bool:
-    """Whether a node's trees are every combination of its components in C
-    order, as in a ``TreeSpace``: each tree's component is a digit of its
-    position."""
-    n = stride = len(per_time[0].index)
-    if prod(len(level.components) for level in per_time) != n:
-        return False
-    for level in per_time:
-        m = len(level.components)
-        stride //= m
-        if not (level.index.reshape(-1, m, stride) == np.arange(m)[:, None]).all():
-            return False
-    return True
 
 
 def tuple_laws(ch: BlockChannel, trees: list, tuples: np.ndarray):
@@ -564,13 +564,13 @@ def tuple_laws(ch: BlockChannel, trees: list, tuples: np.ndarray):
     x(tuple, y) is a sum over tree components of their inputs (from the
     ``TreeLevel`` tables, at the feedback prefixes of y) times their
     mixed-radix weights.  The sum runs over the product's axes: one per time
-    for a node whose trees are a full product (``_is_product``), else one
-    over the node's trees.  All axes but the last are summed once by
-    broadcasting; the last is added per slice of at most ``ROLLOUT_CHUNK``
-    pairs, by broadcasting too where a slice holds whole runs of it.  Per slice
-    this yields ``(chunk, entry, prob)``, both of shape (len(chunk), support
-    columns): the flat position of Q[x(tuple, y), y] in ``ch.block_law.law``
-    and its value, zero where the tuple does not reach y.
+    for a node whose trees are a full ``TreeSpace``, else one over the node's
+    trees.  All axes but the last are summed once by broadcasting; the last is
+    added per slice of at most ``ROLLOUT_CHUNK`` pairs, by broadcasting too
+    where a slice holds whole runs of it.  Per slice this yields ``(chunk,
+    entry, prob)``, both of shape (len(chunk), support columns): the flat
+    position of Q[x(tuple, y), y] in ``ch.block_law.law`` and its value, zero
+    where the tuple does not reach y.
     """
     block = ch.block_law
     s = block.law.shape[1]
@@ -580,13 +580,13 @@ def tuple_laws(ch: BlockChannel, trees: list, tuples: np.ndarray):
     axes = []
     for k, (node, per_time) in enumerate(zip(ch.nodes, trees)):
         if all(len(a) == 1 for a in node.inputs):   # sends nothing
-            axes.append(np.zeros((len(per_time[0].index), s), dtype=np.int64))
+            axes.append(np.zeros((per_time[0].size, s), dtype=np.int64))
             continue
         fed = ch.nodes[node.feedback_node - 1].outputs
         terms = [level.table.astype(np.int64)[:, block.outputs[node.feedback_node - 1]
                                               // prod(map(len, fed[i:]))] * stride[i, k]
                  for i, level in enumerate(per_time)]
-        if len(per_time[0].index) > 1 and _is_product(per_time):
+        if per_time[0].size > 1 and per_time[0].stride:
             axes += terms
         else:
             axes.append(sum(t[level.index] for t, level in zip(terms, per_time)))
@@ -726,12 +726,12 @@ def joint_paths(ch: BlockChannel, trees: list, tuples: np.ndarray):
     radix = ([len(level.components) for per_time in trees for level in per_time]
              + [prod(map(len, n.inputs)) for n in ch.nodes]
              + [prod(map(len, n.outputs)) for n in ch.nodes])
-    sizes = [len(per_time[0].index) for per_time in trees]
+    sizes = [per_time[0].size for per_time in trees]
     for chunk, entry, prob in tuple_laws(ch, trees, tuples):
         owner, xs, ys, prob = _paths(ch, entry, prob)
         tuple_index = chunk[owner]
         tree = np.unravel_index(tuple_index, sizes)
-        components = [level.index[tree[k]] for k, per_time in enumerate(trees)
+        components = [level.component(tree[k]) for k, per_time in enumerate(trees)
                       for level in per_time]
         yield tuple_index, np.ravel_multi_index(components + xs + ys, radix), prob
 

@@ -5,7 +5,8 @@ Claims:
     - values in the reports match the library calls that produced them
     - --format json emits valid machine-readable JSON, csv emits flat rows
     - the max-min and capacity commands say why the optimizer stopped, in
-      text and json; capacity at --tol 0 exits 0 with a nonnegative gap
+      text and json; capacity at --tol 0 exits 0 with a nonnegative gap;
+      capacity gives the seconds of enumeration, rollout and optimizer
     - the argument parser is built once per process
     - ``enumerate --list`` prints every tree of a spec with feedback in the
       canonical order
@@ -144,6 +145,15 @@ class TestFormats:
         code, out, _ = run(capsys, "capacity", "--spec", SPEC / "state_addition.json",
                            "--max-iter", "1", "--format", "json")
         assert json.loads(out)["metadata"]["termination"] == "max_iter"
+
+    def test_capacity_reports_stage_times(self, capsys):
+        stages = ("enumeration_s", "rollout_s", "optimizer_s")
+        code, out, _ = run(capsys, "capacity", "--spec", SPEC / "binary_feedback.json")
+        assert code == 0 and all(f"{stage}:" in out for stage in stages)
+        code, out, _ = run(capsys, "capacity", "--spec", SPEC / "binary_feedback.json",
+                           "--format", "json")
+        meta = json.loads(out)["metadata"]
+        assert all(isinstance(meta[s], float) and meta[s] >= 0.0 for s in stages)
 
     def test_parser_built_once(self, capsys, monkeypatch):
         run(capsys, "enumerate", "--spec", SPEC / "binary_feedback.json")

@@ -7,7 +7,9 @@ Claims:
       its lengthened steps close the 1e-9 bracket of near-identical rows in
       under 1,000 iterations and agree with plain alternating minimization;
       at tol=0 it and the point-to-point solver stop with a finite law and a
-      nonnegative gap
+      nonnegative gap; the rows it climbs equal the elementwise divergence to
+      1e-12 on channels with zero entries and an unreached output, and it
+      leaves W unchanged
     - point-to-point: feedback capacity 1 bit/use on the noise-revealing
       channel, (2 - H2(e))/2 without feedback, 1 bit for a clean binary letter;
       on the four-letter feedback BSC 1 - H2(e) with and without feedback,
@@ -252,6 +254,49 @@ class TestBlahutArimoto:
         assert value <= upper + 1e-12 and lower <= value + gap + 1e-12
         if upper - lower < 1e-9:
             assert value == pytest.approx(lower, abs=1e-9)
+
+    def test_rows_are_the_elementwise_divergence(self, rng, monkeypatch):
+        # the rows the ascent climbs, read off the row negentropies and one
+        # product with log2(rW), equal sum_y W (log2 W - log2 rW) over the
+        # positive entries, on channels with zero entries and an output no
+        # input reaches; the capacity agrees with plain alternating
+        # minimization and W is left as given
+        calls = []
+        ascend = optimize._ascend
+
+        def spy(rows, n, **kwargs):
+            calls.append(rows)
+            return ascend(rows, n, **kwargs)
+        monkeypatch.setattr(optimize, "_ascend", spy)
+        for _ in range(12):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(3, 6))
+            W = rng.dirichlet(np.ones(n) * 0.5, size=m)
+            W[:, rng.integers(n)] = 0.0
+            zero = rng.random(W.shape) < 0.3
+            zero[np.arange(m), W.argmax(axis=1)] = False
+            W[zero] = 0.0
+            W /= W.sum(axis=1, keepdims=True)
+            given = W.copy()
+            W.setflags(write=False)
+            value, _, _, gap = blahut_arimoto(W)
+            assert np.array_equal(W, given)
+            rows = calls.pop()
+            reached = np.ascontiguousarray(W[:, W.any(axis=0)])   # nothing to drop
+            reached.setflags(write=False)
+            assert blahut_arimoto(reached)[0] == pytest.approx(value, abs=1e-12)
+            calls.pop()
+            for r in (np.full(m, 1.0 / m), rng.dirichlet(np.ones(m))):
+                out = r @ W
+                want = [sum(w * (log2(w) - log2(o)) for w, o in zip(row, out) if w > 0.0)
+                        for row in W]
+                got, blind = rows(r)
+                assert not blind
+                assert np.abs(got - want).max() <= 1e-12
+            lower, upper = plain_blahut_arimoto(W, max_iter=3000)
+            assert gap < 1e-9
+            assert value <= upper + 1e-12 and lower <= value + gap + 1e-12
+            if upper - lower < 1e-9:
+                assert value == pytest.approx(lower, abs=1e-9)
 
     def test_zero_tol_stops_with_a_finite_law(self):
         # at tol=0 the bracket closes only by rounding; the run must not grow
