@@ -143,7 +143,9 @@ def cmd_cutset(args) -> RunReport:
                                optimality_gap=f"{result.gap:.3e}",
                                termination=result.meta["termination"],
                                iterations=result.iterations,
-                               cuts=len(result.meta["cuts"]))
+                               cuts=len(result.meta["cuts"]),
+                               lower=result.value, upper=result.value + result.gap,
+                               **{f"{s}_s": t for s, t in result.meta["timings"].items()})
         return report
     pa = _uniform_pa(ch, args.cap)
     for row in cutset_region(session, ch, pa, all_cuts=args.all_cuts):
@@ -192,7 +194,9 @@ def cmd_relay(args) -> RunReport:
     report.metadata.update(method=result.method,
                            optimality_gap=f"{result.gap:.3e}",
                            termination=result.meta["termination"],
-                           iterations=result.iterations)
+                           iterations=result.iterations,
+                           lower=result.value, upper=result.value + result.gap,
+                           **{f"{s}_s": t for s, t in result.meta["timings"].items()})
     return report
 
 

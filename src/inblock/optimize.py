@@ -3,23 +3,23 @@ distributions.
 
 Point-to-point capacity is alternating minimization on the code-function
 channel P(y^L | a^L): one lengthened multiplicative ascent on its divergence
-rows, with the standard upper/lower bracket.  The cut values, exact or
-relaxed, give rows that bound every cut from above at every law evaluated:
-the divergence rows of all exact cuts, computed in one pass, or the tangent
-rows of the relaxed cuts, each compiled once into entropies of products of
-the law with tuple-to-marginal maps.  A fixed nonnegative weighting of the
-cuts (a weighted sum, a session with one separating cut, or one cut on its
-own) is maximized by the same ascent on the weighted row, stopped once its
-bracket is within ``tol``, after ``BA_MAX_ITER`` row evaluations, or when the
-law stops moving.  The min over two or more cuts is the saddle point of the
-cut-weighted sum, solved by entropic mirror-prox on the tree-law and cut-law
-simplices, with each cut's own maximizer as a further candidate; it stops
-once its bound or the single-cut one is within ``tol`` of the best value, or
-after ``iterations`` mirror-prox steps.  Support reduction searches supports
-up to a cardinality budget, exhaustively when feasible, with each candidate's
-alternating minimization stopped once its upper end cannot beat the best
-value found (branch and bound), and by greedy pruning with random restarts
-otherwise.
+rows, with the standard upper/lower bracket.  Every cut of a max-min, of
+any kind, compiles once one way: its ``cutset`` evaluator runs on the
+rolled-out tree tuples, terms over every code axis become fixed rows and the
+rest conditional entropies of sparse tuple-to-marginal maps, read at the
+uniform law where a code cell has no mass; their tangent rows bound the cut.
+A fixed nonnegative weighting of the cuts (a weighted sum, a session with one
+separating cut, or one cut on its own) is maximized by the same ascent on the
+weighted row, stopped once its bracket is within ``tol``, after
+``BA_MAX_ITER`` row evaluations, or when the law stops moving.  The min over
+two or more cuts is the saddle point of the cut-weighted sum, solved by
+entropic mirror-prox on the tree-law and cut-law simplices, with each cut's
+own maximizer as a further candidate; it stops once its bound or the
+single-cut one is within ``tol`` of the best value, or after ``iterations``
+mirror-prox steps.  Support reduction searches supports up to a cardinality
+budget, exhaustively when feasible, with each candidate's alternating
+minimization stopped once its upper end cannot beat the best value found
+(branch and bound), and by greedy pruning with random restarts otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cutset import EXACT, WEAKENED_KINDS, enumerate_cuts, weakened_bound
+from .cutset import EXACT, WEAKENED_KINDS, cut_mutual_information, enumerate_cuts, weakened_bound
 from .errors import ShapeError, SizeError
 from .model import (
     DEFAULT_ENUMERATION_CAP,
@@ -284,85 +284,15 @@ def simplex_grid(dim: int, resolution: int):
 
 # -- max-min cut optimization ---------------------------------------------------
 
-class _Objective:
-    """The cuts of a max-min over tree-tuple laws.  Subclasses give
-    ``kl_rows(p)``: per cut i a row G_i with f_i(q) <= G_i @ q for every law
-    q, in bits per block, and the entries where that row is +inf (blind)."""
-
-    def __init__(self, spaces: Sequence[Sequence[CodeFunction]], cuts: Sequence[frozenset]):
-        self.sizes = tuple(len(s) for s in spaces)
-        self.n = prod(self.sizes)
-        self.cuts = list(cuts)
-
-
-class _CutObjective(_Objective):
-    """The cut values I(A_S ; Y_{S^c} | A_{S^c}), with the per-tuple
-    divergence rows that bound each cut from above.
-
-    Every cut's tuple-to-output matrix is kept flat, one entry per
-    positive (cut, tuple, output) probability pointing at its (cut,
-    conditioning group, output) cell, so that one pass of ``np.bincount``
-    gives the rows of all cuts."""
-
-    def __init__(self, ch: BlockChannel, spaces: Sequence[Sequence[CodeFunction]],
-                 cuts: Sequence[frozenset]):
-        super().__init__(spaces, cuts)
-        # Roll each tuple out once; a cut sums out its own nodes' output slots.
-        full = tuple_channel_matrix(ch, spaces, range(1, ch.K + 1)).reshape(
-            self.n, *(len(ch.output_alphabet(k, i)) for k in range(1, ch.K + 1)
-                      for i in range(1, ch.L + 1)))
-        matrices = []                       # per cut: tuples x outputs
-        row, cell, cell_group, shared = [], [], [], []
-        cells = groups = 0
-        for c, S in enumerate(self.cuts):
-            hidden = tuple(1 + (k - 1) * ch.L + i for k in S for i in range(ch.L))
-            W = full.sum(axis=hidden).reshape(*self.sizes, -1)
-            axes = tuple(k - 1 for k in S)
-            # A conditioning group without mass takes the average of its rows
-            # as reference, so its rows still bound the cut there.
-            shared.append(W.mean(axis=axes).ravel())
-            shape = tuple(1 if a in axes else m for a, m in enumerate(self.sizes))
-            n_groups, m = prod(shape), W.shape[-1]
-            gid = np.broadcast_to(np.arange(n_groups).reshape(shape), self.sizes).ravel()
-            W = W.reshape(self.n, m)
-            matrices.append(W)
-            j, y = np.nonzero(W)
-            row.append(c * self.n + j)
-            cell.append(cells + gid[j] * m + y)
-            cell_group.append(groups + np.repeat(np.arange(n_groups), m))
-            cells, groups = cells + n_groups * m, groups + n_groups
-        self._row, self._cell, self._cell_group, self._shared = (
-            np.concatenate(a) for a in (row, cell, cell_group, shared))
-        self._tuple = self._row % self.n
-        self._w = np.concatenate([W[W > 0.0] for W in matrices])
-        self._logw = np.log2(self._w)
-
-    def kl_rows(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per cut and tuple, the divergence of the tuple's output law from its
-        group's law under p, and the entries where that law misses an output
-        of the tuple (+inf; the first array leaves those outputs out).  With
-        them, row i satisfies f_i(q) <= row_i @ q for every law q."""
-        size = len(self.cuts) * self.n
-        mix = np.bincount(self._cell, p[self._tuple] * self._w, minlength=len(self._shared))
-        # rows sum to 1, so a group's mass is the sum of its output cells
-        mass = np.bincount(self._cell_group, mix)[self._cell_group]
-        ref = np.divide(mix, mass, out=self._shared.copy(), where=mass > 0.0)[self._cell]
-        logref = np.log2(ref, out=np.zeros(len(ref)), where=ref > 0.0)
-        G = np.bincount(self._row, (self._logw - logref) * self._w, minlength=size)
-        blind = np.bincount(self._row, ref <= 0.0, minlength=size) > 0.0
-        return G.reshape(-1, self.n), blind.reshape(-1, self.n)
-
-
 class _EntropySum:
     """const + sum over axis sets of coef * H(marginal on those axes): the form
-    of every relaxed cut expression before a law is chosen."""
+    of every cut expression before a law is chosen."""
 
     def __init__(self, coef: dict, const: float = 0.0):
         self.coef, self.const = coef, const
 
     def __add__(self, other):
-        if not isinstance(other, _EntropySum):
-            return _EntropySum(self.coef, self.const + other)
+        other = other if isinstance(other, _EntropySum) else _EntropySum({}, other)
         coef = dict(self.coef)
         for axes, c in other.coef.items():
             coef[axes] = coef.get(axes, 0.0) + c
@@ -385,10 +315,12 @@ class _EntropySum:
 
 class _TuplePaths:
     """Every tree tuple rolled through the block once: per path its tuple, its
-    coordinates in the block joint and its probability, with the
-    tuple-to-marginal maps built from them.  The cut evaluators read it as a
-    joint whose ``entropy(names)`` is the symbolic ``_EntropySum`` of one
-    marginal."""
+    coordinates in the block joint and its probability.  The ``cutset``
+    evaluators read it as a joint whose ``entropy(names)`` is the symbolic
+    ``_EntropySum`` of one marginal, so every cut kind compiles on it into
+    entropies, which ``_CutObjective`` turns into fixed rows (terms over every
+    code axis) and sparse tuple-to-marginal maps (code cells without mass
+    read at the uniform law)."""
 
     axis = JointBlockDistribution.axis
     select = JointBlockDistribution.select
@@ -400,62 +332,105 @@ class _TuplePaths:
         self._index = {v.name: i for i, v in enumerate(self.variables)}
         self.meta = {"channel": ch, "L": ch.L}
         self.shape = tuple(len(v.alphabet) for v in self.variables)
-        self.n = prod(len(s) for s in spaces)
+        tuples = np.arange(prod(len(s) for s in spaces))
         self.owner, cell, self.prob = (np.concatenate(a) for a in
-                                       zip(*joint_paths(ch, trees, np.arange(self.n))))
+                                       zip(*joint_paths(ch, trees, tuples)))
         self.coords = np.unravel_index(cell, self.shape)
 
     def entropy(self, names: Iterable[str]) -> _EntropySum | float:
         axes = frozenset(self.axis(n) for n in names)
         return _EntropySum({axes: 1.0}) if axes else 0.0
 
-    def marginal_map(self, axes: frozenset) -> np.ndarray:
-        """tuples x marginal cells: each tuple's law of the variables at
-        ``axes``, cells in C order over those axes in table order."""
-        keep = sorted(axes)
-        shape = [self.shape[a] for a in keep]
-        cells = prod(shape)
-        if self.n * cells > MAX_CELLS:
-            raise SizeError(f"marginal map would need {self.n * cells} cells "
-                            f"(cap {MAX_CELLS})")
-        col = np.ravel_multi_index([self.coords[a] for a in keep], shape)
-        return np.bincount(self.owner * cells + col, self.prob,
-                           minlength=self.n * cells).reshape(self.n, cells)
+
+def _starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of a sorted array starts."""
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    return starts
 
 
-class _RelaxedObjective(_Objective):
-    """One relaxed cut expression per cut, with its tangent rows.
-
-    Each cut is compiled once, by running ``cutset.weakened_bound`` on the
-    rolled-out tuples: f_i(p) = c_i + sum_k C_ik H(p @ M_k), with M_k the
-    tuple-to-marginal maps, stacked side by side into one matrix M.  The
-    tangent row f(p) + grad f(p) . (e_j - p) is then c_i + sum_k C_ik h_kj
-    with h_k = -M_k log2(p @ M_k), since grad H_k = h_k - log2 e and
-    h_k @ p = H_k(p).  An entry is blind where a cell that the tuple reaches
-    has no mass.  The rows bound f_i wherever f_i is concave."""
+class _CutObjective:
+    """The cuts of a max-min, each compiled once by its ``cutset`` evaluator
+    on ``_TuplePaths``.  ``kl_rows(p)`` gives per cut i a row G_i with
+    f_i(q) <= G_i @ q for every law q (bits per block) and its +inf (blind)
+    entries.  Each entropy H(T) splits on T's code axes B as H(B) + H(T | B);
+    the H(B) parts cancel in the exact and directed cuts.  If B holds every
+    code axis, H(T | B) = sum_j p_j H_j(T) is a fixed row h.  Any other
+    H(T | B) (B empty if T has no code axes or only those) reads p through a
+    sparse tuple-to-marginal map M, with tangent row -M log2 P(cell | code
+    cell).  A code cell without mass reads the uniform law (for the exact
+    kind, an empty conditioning group averages its rows), which keeps the
+    rows bounds: a conditional entropy is at most its cross entropy under any
+    conditional law.  A cell without mass in a code cell with mass is left
+    out and blinds the entries that reach it.  ``MAX_CELLS`` caps the map
+    entries."""
 
     def __init__(self, ch: BlockChannel, spaces: Sequence[Sequence[CodeFunction]],
                  cuts: Sequence[frozenset], kind: str):
-        super().__init__(spaces, cuts)
+        self.sizes = tuple(len(s) for s in spaces)
+        self.n = n = prod(self.sizes)
+        self.cuts = list(cuts)
         paths = _TuplePaths(ch, spaces)
-        sums = [weakened_bound(paths, S, kind) * ch.L for S in self.cuts]
-        terms = sorted({axes for s in sums for axes, c in s.coef.items() if c != 0.0},
-                       key=sorted)
-        maps = [paths.marginal_map(axes) for axes in terms]
-        self._map = np.hstack(maps)
-        term = np.repeat(np.arange(len(terms)), [m.shape[1] for m in maps])
-        coef = np.array([[s.coef.get(axes, 0.0) for axes in terms] for s in sums])
-        self._coef = coef[:, term].T          # marginal cells x cuts
-        self._const = np.array([s.const for s in sums])
+        sums = [(cut_mutual_information(paths, S) if kind == EXACT
+                 else weakened_bound(paths, S, kind)) * ch.L for S in self.cuts]
+        code = frozenset(a for a, v in enumerate(paths.variables) if v.kind == "code")
+        terms = {}   # (axis set T, linear in p) -> per-cut coefficients of H(T | B)
+        for i, s in enumerate(sums):
+            for axes, c in s.coef.items():
+                split = [(axes, False)]
+                if axes & code and axes - code:   # H(T) = H(B) + H(T | B)
+                    split = [(axes & code, False), (axes, axes > code)]
+                for key in split:
+                    terms.setdefault(key, np.zeros(len(sums)))[i] += c
+        self._base = np.repeat([[s.const] for s in sums], n, axis=1)
+        parts, cells, codes, entries = [], 0, 1, 0   # code cell 0 is none, of mass 1
+        for (axes, linear), c in ((key, c) for key, c in terms.items() if c.any()):
+            # each tuple's law of T as (tuple, cell, weight) triples sorted by
+            # cell, cells in C order over T's axes, so code axes lead
+            keep = sorted(axes)
+            flat = np.ravel_multi_index([paths.coords[a] for a in keep],
+                                        [paths.shape[a] for a in keep])
+            pair, inverse = np.unique(flat * n + paths.owner, return_inverse=True)
+            owner, col, w = pair % n, pair // n, np.bincount(inverse, paths.prob)
+            if linear:   # tuple j's entropy of T
+                self._base += np.outer(c, np.bincount(owner, -w * np.log2(w), minlength=n))
+                continue
+            entries += len(w)
+            if entries > MAX_CELLS:
+                raise SizeError(f"tuple-to-marginal maps need over {MAX_CELLS} entries")
+            first = _starts(col)
+            cell, reached = np.cumsum(first) - 1, col[first]
+            cell_code = np.zeros(len(reached), dtype=int)
+            if axes & code and axes - code:   # B leads, so a code cell is a leading digit
+                given = reached // prod(paths.shape[a] for a in axes - code)
+                cell_code += codes + np.cumsum(_starts(given)) - 1
+                codes = cell_code[-1] + 1
+            on = np.flatnonzero(c)
+            parts.append((owner, cells + cell, w, cell_code, (on[:, None] * n + owner).ravel(),
+                          np.tile(cells + cell, len(on)), (-c[on, None] * w).ravel()))
+            cells += len(reached)
+        (self._tuple, self._cell, self._w, self._code,
+         self._row, self._row_cell, self._row_w) = map(np.concatenate, zip(*parts))
+        uniform = np.bincount(self._cell, self._w) / n
+        self._uniform = uniform / self._code_mass(uniform)
+
+    def _code_mass(self, P: np.ndarray) -> np.ndarray:
+        mass = np.bincount(self._code, P)
+        mass[0] = 1.0
+        return mass[self._code]
 
     def kl_rows(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        P = p @ self._map
-        empty = P <= 0.0
-        logP = np.log2(P, out=np.zeros(len(P)), where=~empty)
-        G = self._const[:, None] - (self._map @ (self._coef * logP[:, None])).T
-        if not empty.any():
-            return G, np.zeros(G.shape, dtype=bool)
-        return G, (self._map @ ((self._coef != 0.0) & empty[:, None])).T > 0.0
+        P = np.bincount(self._cell, p[self._tuple] * self._w, minlength=len(self._uniform))
+        mass, shape = self._code_mass(P), self._base.shape
+        if np.count_nonzero(P) == len(P):
+            P, blind = P / mass, np.zeros(shape, dtype=bool)
+        else:   # a cell without mass: read at the uniform law, or else left out
+            unseen = (P <= 0.0) & (mass > 0.0)
+            P = np.divide(P, mass, out=np.where(unseen, 1.0, self._uniform), where=P > 0.0)
+            blind = np.bincount(self._row, unseen[self._row_cell],
+                                minlength=self._base.size).reshape(shape) > 0.0
+        return self._base + np.bincount(self._row, self._row_w * np.log2(P)[self._row_cell],
+                                        minlength=self._base.size).reshape(shape), blind
 
 
 def _dual_bound(G: np.ndarray, blind: np.ndarray, duals) -> float:
@@ -465,7 +440,7 @@ def _dual_bound(G: np.ndarray, blind: np.ndarray, duals) -> float:
     return min(float((l[l > 0.0] @ H[l > 0.0]).max()) for l in duals)
 
 
-def _weighted_ascent(objective: _Objective, w: np.ndarray, *, tol: float):
+def _weighted_ascent(objective: _CutObjective, w: np.ndarray, *, tol: float):
     """Maximize the fixed weighting sum_i w_i f_i (w >= 0) by ``_ascend`` on
     the row w @ G over the weighted cuts, which bounds the sum at every law,
     equals it at the current law and is blind wherever a weighted cut's row
@@ -479,7 +454,7 @@ def _weighted_ascent(objective: _Objective, w: np.ndarray, *, tol: float):
     return _ascend(row, objective.n, tol=tol, max_iter=BA_MAX_ITER)
 
 
-def _cut_ascents(objective: _Objective, *, tol: float):
+def _cut_ascents(objective: _CutObjective, *, tol: float):
     """Each cut alone, maximized by ``_weighted_ascent`` at its unit weight.
     The least of the cuts' upper ends bounds the max-min.  Returns the final
     laws and that bound."""
@@ -488,7 +463,7 @@ def _cut_ascents(objective: _Objective, *, tol: float):
     return list(laws), min(uppers)
 
 
-def _mirror_prox(objective: _Objective, starts: Sequence[np.ndarray], upper: float,
+def _mirror_prox(objective: _CutObjective, starts: Sequence[np.ndarray], upper: float,
                  *, tol: float, iterations: int):
     """Entropic mirror-prox on min over cut laws lam of max over tuple laws p
     of sum_i lam_i f_i(p) from uniform p and lam.  Every law evaluated is a
@@ -551,11 +526,14 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
     """Maximize min over message-separating cuts of the chosen cut value.
 
     Every cut kind (``cutset.EXACT`` or one of ``cutset.WEAKENED_KINDS``) is
-    concave in the dependent tree-tuple law p.  At every law evaluated the
-    cut rows G satisfy f_i(q) <= G_i @ q for every law q: divergence rows for
-    the exact kind, tangent rows for the relaxed ones.  Both paths below stop
-    once an upper bound is within ``tol`` (bits per block) of the best value,
-    and ``meta["upper_bound"]`` is the least bound, in bits per block.
+    concave in the dependent tree-tuple law p and compiles one way
+    (``_CutObjective``: terms over every code axis are fixed rows, code cells
+    without mass read the uniform law) into rows G with f_i(q) <= G_i @ q for
+    every law q, at every law evaluated.  Both paths below stop once an upper
+    bound is within ``tol`` (bits per block) of the best value, and
+    ``meta["upper_bound"]`` is the least bound, in bits per block.
+    ``meta["timings"]`` gives the seconds of tree enumeration, of the rollout
+    with the compile, and of the optimizer.
 
     A min over two or more cuts is the saddle value min over cut laws lam of
     max over p of sum_i lam_i f_i(p), so max_j (lam^T G)_j bounds it for any
@@ -596,10 +574,12 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
         weights = np.array([cut_weights.get(S, 0.0) for S in cuts])
         if not (weights >= 0.0).all() or not np.isfinite(weights).all():
             raise ShapeError("cut weights must be finite and nonnegative")
+    clock = [time.perf_counter()]
     if spaces is None:
         spaces = [enumerate_code_functions(n, cap=cap) for n in ch.nodes]
-    objective = (_CutObjective(ch, spaces, cuts) if kind == EXACT
-                 else _RelaxedObjective(ch, spaces, cuts, kind))
+    clock.append(time.perf_counter())
+    objective = _CutObjective(ch, spaces, cuts, kind)
+    clock.append(time.perf_counter())
     if weights is not None:
         value, p, steps, upper = _weighted_ascent(objective, weights, tol=tol)
         method = "ascent"
@@ -610,11 +590,14 @@ def maximize_cutset_minimum(session: NetworkSession, ch: BlockChannel, *,
                                               tol=tol, iterations=iterations)
         method = "mirror-prox"
         termination = "certified" if upper - value <= tol else "max_iter"
+    clock.append(time.perf_counter())
     return OptimizationResult(
         value=value / ch.L, distribution=p.reshape(objective.sizes),
         iterations=steps, gap=max(upper - value, 0.0) / ch.L, method=method,
         meta={"cuts": cuts, "upper_bound": upper, "termination": termination,
-              "spaces": tuple(spaces)})
+              "spaces": tuple(spaces),
+              "timings": dict(zip(("enumeration", "rollout", "optimizer"),
+                                  np.diff(clock).tolist()))})
 
 
 # -- support reduction ----------------------------------------------------------

@@ -6,16 +6,19 @@ Claims:
     - --format json emits valid machine-readable JSON, csv emits flat rows
     - the max-min and capacity commands say why the optimizer stopped, in
       text and json; capacity at --tol 0 exits 0 with a nonnegative gap;
-      capacity gives the seconds of enumeration, rollout and optimizer
+      capacity and the max-min commands give the seconds of enumeration,
+      rollout and optimizer, and the max-min commands their bracket ends
     - the argument parser is built once per process
     - ``enumerate --list`` prints every tree of a spec with feedback in the
       canonical order
-    - reruns with the same seed reproduce the report verbatim
+    - reruns with the same seed reproduce the report verbatim, but for the
+      seconds per stage
     - bad inputs exit nonzero with a message on stderr
 """
 
 import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -155,6 +158,19 @@ class TestFormats:
         meta = json.loads(out)["metadata"]
         assert all(isinstance(meta[s], float) and meta[s] >= 0.0 for s in stages)
 
+    def test_max_min_reports_bracket_and_stage_times(self, capsys):
+        keys = ("lower", "upper", "enumeration_s", "rollout_s", "optimizer_s")
+        for argv, spec in ((("cutset", "--optimize"), "binary_feedback.json"),
+                           (("cutset", "--optimize"), "causal_relay.json"),
+                           (("relay",), "causal_relay.json")):
+            code, out, _ = run(capsys, *argv, "--spec", SPEC / spec)
+            assert code == 0
+            assert all(re.search(rf"^{key} *:", out, re.MULTILINE) for key in keys)
+            code, out, _ = run(capsys, *argv, "--spec", SPEC / spec, "--format", "json")
+            meta = json.loads(out)["metadata"]
+            assert all(isinstance(meta[k], float) and meta[k] >= 0.0 for k in keys)
+            assert meta["lower"] <= meta["upper"]
+
     def test_parser_built_once(self, capsys, monkeypatch):
         run(capsys, "enumerate", "--spec", SPEC / "binary_feedback.json")
 
@@ -174,11 +190,16 @@ class TestFormats:
         assert any(line.startswith("check,") for line in lines)
 
     def test_reproducible_reports(self, capsys):
-        _, first, _ = run(capsys, "cutset", "--spec", SPEC / "causal_relay.json",
-                          "--optimize", "--format", "json")
-        _, second, _ = run(capsys, "cutset", "--spec", SPEC / "causal_relay.json",
-                           "--optimize", "--format", "json")
-        assert first == second
+        # verbatim but for the seconds per stage, which no rerun repeats
+        reports = []
+        for _ in range(2):
+            _, out, _ = run(capsys, "cutset", "--spec", SPEC / "causal_relay.json",
+                            "--optimize", "--format", "json")
+            doc = json.loads(out)
+            doc["metadata"] = {k: v for k, v in doc["metadata"].items()
+                               if not k.endswith("_s")}
+            reports.append(doc)
+        assert reports[0] == reports[1]
 
 
 class TestFailures:

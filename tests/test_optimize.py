@@ -25,16 +25,19 @@ Claims:
       [value, value + gap] is finite and holds the grid optimum for the exact,
       directed and input-output kinds, also without single-cut anchors; the
       result says why the solver stopped; the fused rows of all cuts equal
-      the per-cut computation to 1e-12, blind entries included; the seeded
+      the per-cut computation to 1e-12, blind entries included, also over
+      all six cuts of a relay; the seeded
       alphabet-3 relay that the supergradient ascent left at a 3.2e-2 gap
       certifies at 1e-9
     - relaxed max-min: the compiled rows give each cut's relaxed bound on
       each law's joint to 1e-12 (directed and input-output on random relays
-      and channels, additive-noise, deterministic); marginal maps over the
-      cell cap are refused; the value replays at the returned law to 1e-12
-      and on the seeded L=1 relay is at least the ascent-and-grid value it
-      replaced, with a finite gap; unknown kinds raise ShapeError before any
-      enumeration, and additive-noise needs a noise block
+      and channels, additive-noise, deterministic); tuple-to-marginal maps
+      over the entry cap are refused, and the directed max-min of an L=2
+      relay whose dense map the cap refused replays; the value replays at
+      the returned law to 1e-12 and on the seeded L=1 relay is at least the
+      ascent-and-grid value it replaced, with a finite gap; unknown kinds
+      raise ShapeError before any enumeration, and additive-noise needs a
+      noise block
     - fixed cut weightings run one ascent: a weighted relaxed max-min
       certifies and replays; unit weights on the three separating cuts of the
       deterministic broadcast spec certify at 1e-9 for the exact, directed,
@@ -84,7 +87,6 @@ from inblock.model import (
 )
 from inblock.optimize import (
     _CutObjective,
-    _RelaxedObjective,
     blahut_arimoto,
     maximize_cutset_minimum,
     maximize_point_to_point,
@@ -524,8 +526,7 @@ class TestMaxMinCuts:
         rng = np.random.default_rng(seed)
         ch, cuts = row_case_channel(family, rng)
         spaces = channel_spaces(ch)
-        objective = (_CutObjective(ch, spaces, cuts) if kind == "exact"
-                     else _RelaxedObjective(ch, spaces, cuts, kind))
+        objective = _CutObjective(ch, spaces, cuts, kind)
         p = sparse_law(rng, objective.n, keep)
         q = sparse_law(rng, objective.n, float(rng.random()))
         G, blind = objective.kl_rows(p)
@@ -544,14 +545,17 @@ class TestMaxMinCuts:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), keep=st.floats(0.0, 1.0),
-           family=st.sampled_from(["L=1", "L=2", "counterexample"]))
+           family=st.sampled_from(["L=1", "L=2", "counterexample", "all cuts"]))
     def test_fused_rows_match_per_cut_rows(self, seed, keep, family):
+        # "all cuts": every nonempty proper cut of a relay, separating or not
         rng = np.random.default_rng(seed)
         ch = {"L=1": lambda: random_relay_channel(rng, x1=3, y3=3),
               "L=2": lambda: random_relay_channel(rng, L=2),
-              "counterexample": lambda: causal_relay_counterexample()[0]}[family]()
-        cuts = [frozenset({1}), frozenset({1, 2})]
-        objective = _CutObjective(ch, channel_spaces(ch), cuts)
+              "counterexample": lambda: causal_relay_counterexample()[0],
+              "all cuts": lambda: random_relay_channel(rng, L=int(rng.integers(1, 3)))
+              }[family]()
+        cuts = all_cuts(3) if family == "all cuts" else [frozenset({1}), frozenset({1, 2})]
+        objective = _CutObjective(ch, channel_spaces(ch), cuts, "exact")
         p = sparse_law(rng, objective.n, keep)
         G, blind = objective.kl_rows(p)
         want_G, want_blind = per_cut_kl_rows(ch, channel_spaces(ch), cuts, p)
@@ -563,7 +567,7 @@ class TestMaxMinCuts:
         # other tuples' outputs unseen by their group's law
         ch = causal_relay_counterexample()[0]
         cuts = [frozenset({1}), frozenset({1, 2})]
-        objective = _CutObjective(ch, channel_spaces(ch), cuts)
+        objective = _CutObjective(ch, channel_spaces(ch), cuts, "exact")
         seen = 0
         for j in range(objective.n):
             p = np.eye(objective.n)[j]
@@ -773,7 +777,7 @@ class TestRelaxedMaxMin:
                           sparse_law(rng, n, 0.3)])
         cuts = all_cuts(ch.K)
         for kind in ("directed-weakened", "input-output-weakened"):
-            objective = _RelaxedObjective(ch, spaces, cuts, kind)
+            objective = _CutObjective(ch, spaces, cuts, kind)
             for law in laws:
                 G, _ = objective.kl_rows(law)
                 want = relaxed_cut_values(ch, spaces, law, cuts, kind)
@@ -788,7 +792,7 @@ class TestRelaxedMaxMin:
             ch, _session = parse_spec(SPEC_DIR / "bc_deterministic.json")
         spaces = channel_spaces(ch)
         cuts = all_cuts(ch.K)
-        objective = _RelaxedObjective(ch, spaces, cuts, kind)
+        objective = _CutObjective(ch, spaces, cuts, kind)
         for law in rng.dirichlet(np.full(objective.n, 0.7), size=4):
             G, _ = objective.kl_rows(law)
             want = relaxed_cut_values(ch, spaces, law, cuts, kind)
@@ -798,6 +802,20 @@ class TestRelaxedMaxMin:
         ch = random_relay_channel(rng)
         monkeypatch.setattr(optimize, "MAX_CELLS", 4)
         with pytest.raises(SizeError):
+            maximize_cutset_minimum(relay_session(), ch, kind="directed-weakened")
+
+    def test_sparse_maps_fit_where_dense_ones_did_not(self, monkeypatch):
+        # the directed cuts of an L=2 relay: a dense tuple-to-marginal map
+        # needs 32 x 1,039 cells, over this cap, and the sparse maps 1,216
+        # entries; a cap below those is refused by name
+        ch = random_relay_channel(np.random.default_rng(7), L=2)
+        monkeypatch.setattr(optimize, "MAX_CELLS", 10_000)
+        res = maximize_cutset_minimum(relay_session(), ch, kind="directed-weakened")
+        replay = relaxed_minimum_by_joint(ch, res.meta["spaces"], res.distribution,
+                                          res.meta["cuts"], "directed-weakened")
+        assert abs(replay - res.value) <= 1e-9
+        monkeypatch.setattr(optimize, "MAX_CELLS", 1_000)
+        with pytest.raises(SizeError, match="entries"):
             maximize_cutset_minimum(relay_session(), ch, kind="directed-weakened")
 
     def test_value_replays_at_returned_law(self):
