@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import catalog
-from .cutset import cutset_region, enumerate_cuts, weakened_bound, WEAKENED_KINDS
+from .cutset import (WEAKENED_KINDS, cut_mutual_information, cutset_region, enumerate_cuts,
+                     weakened_bound)
 from .errors import InBlockError
 from .gaussian import GaussianNetwork, gap_certificate
 from .model import (
@@ -110,6 +111,16 @@ def _uniform_pa(ch: BlockChannel, cap: int) -> CodeFunctionDistribution:
     return CodeFunctionDistribution.uniform(spaces)
 
 
+def _uniform_joint(report: RunReport, ch: BlockChannel, cap: int):
+    """The block joint at independent uniform trees, its size in the report."""
+    joint = joint_distribution(_uniform_pa(ch, cap), ch)
+    report.metadata.update(distribution="independent uniform trees",
+                           joint_cells=joint.meta["cells"],
+                           joint_nonzeros=joint.meta["nonzeros"],
+                           cell_cap=joint.meta["cell_cap"])
+    return joint
+
+
 def _cut_name(S) -> str:
     return "{" + ",".join(str(k) for k in sorted(S)) + "}"
 
@@ -147,12 +158,12 @@ def cmd_cutset(args) -> RunReport:
                                lower=result.value, upper=result.value + result.gap,
                                **{f"{s}_s": t for s, t in result.meta["timings"].items()})
         return report
-    pa = _uniform_pa(ch, args.cap)
-    for row in cutset_region(session, ch, pa, all_cuts=args.all_cuts):
-        messages = "+".join(row.messages) if row.messages else "(none)"
-        report.add(f"cut {_cut_name(row.cut)} [{messages}]", row.bits_per_use,
-                   "bits/use")
-    report.metadata.update(distribution="independent uniform trees")
+    joint = _uniform_joint(report, ch, args.cap)
+    for S, messages in enumerate_cuts(session):
+        if messages or args.all_cuts:
+            names = "+".join(m.name for m in messages) or "(none)"
+            report.add(f"cut {_cut_name(S)} [{names}]", cut_mutual_information(joint, S),
+                       "bits/use")
     return report
 
 
@@ -161,15 +172,13 @@ def cmd_weakened(args) -> RunReport:
     if session is None:
         raise InBlockError("spec has no messages; cut bounds need a session")
     report = RunReport("weakened", _digest(args.spec))
-    pa = _uniform_pa(ch, args.cap)
-    joint = joint_distribution(pa, ch)
+    joint = _uniform_joint(report, ch, args.cap)
     kinds = [args.kind] if args.kind else ["exact", "directed-weakened",
                                            "input-output-weakened"]
     if not args.kind and ch.noise_block is not None:
         kinds.append("additive-noise")
     if not args.kind and ch.is_deterministic():
         kinds.append("deterministic")
-    from .cutset import cut_mutual_information
     for S, messages in enumerate_cuts(session):
         if not messages and not args.all_cuts:
             continue
@@ -177,7 +186,6 @@ def cmd_weakened(args) -> RunReport:
             value = (cut_mutual_information(joint, S) if kind == "exact"
                      else weakened_bound(joint, S, kind))
             report.add(f"cut {_cut_name(S)} {kind}", value, "bits/use")
-    report.metadata.update(distribution="independent uniform trees")
     return report
 
 

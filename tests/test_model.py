@@ -12,8 +12,9 @@ Claims:
     - the induced channel reproduces hand rollouts (feedback tree forces
       Y2=0; state tree 01 spreads the output to {0,2}; a tree that reads
       another node's output echoes it)
-    - the block joint normalizes, marginalizes to pa x induced channel, and
-      collapses to a point mass for deterministic channels under point pa
+    - the block joint normalizes, marginalizes to pa x induced channel,
+      collapses to a point mass for deterministic channels under point pa,
+      and its meta gives its cells, nonzeros and the cell cap
     - the block-law engine's joint, tree-to-output matrix and induced
       channel match the dictionary-loop rollout to 1e-12 on random channels,
       random relays, the shared-feedback adder MAC and every block spec (the
@@ -292,6 +293,13 @@ class TestJointDistribution:
         pa = CodeFunctionDistribution.point_mass(spaces, (1, 0))
         joint = joint_distribution(pa, ch)
         assert np.count_nonzero(joint.table) == 1
+
+    def test_meta_gives_the_table_size(self, rng):
+        ch = random_channel(rng)
+        joint = joint_distribution(random_pa(rng, channel_spaces(ch)), ch)
+        assert joint.meta["cells"] == joint.table.size
+        assert joint.meta["nonzeros"] == np.count_nonzero(joint.table)
+        assert joint.meta["cell_cap"] == model.MAX_CELLS
 
     def test_size_cap(self, rng, monkeypatch):
         ch = random_channel(rng)

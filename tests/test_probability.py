@@ -3,6 +3,10 @@
 Claims:
     - entropies match closed forms (uniform, point mass, binary) and a
       loop-based oracle on random tables
+    - entropies read from the nonzero cells match the loop oracle on sparse
+      tables, size-1 axes, a point mass, a dense table and sparse wide
+      marginals, and the dense marginal sums on every spec's uniform-law
+      joint
     - causally conditioned entropy: independence and functional-dependence
       degeneracies, the noise-pair value H2(e1*e2), and H(X)=H(X||0)
     - directed information: collapses to mutual information without feedback,
@@ -10,10 +14,15 @@ Claims:
     - validation rejects bad tables and unknown names
 """
 
+import itertools
 from math import log2
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from inblock.model import CodeFunctionDistribution, enumerate_code_functions, joint_distribution
+from inblock.specio import parse_spec
 
 from inblock.errors import InvalidDistributionError, SizeError
 from inblock.probability import (
@@ -26,6 +35,7 @@ from inblock.probability import (
     delayed,
     directed_information,
     entropy,
+    marginal_keys,
     merge_blocks,
     mixture,
     mutual_information,
@@ -86,6 +96,88 @@ class TestEntropy:
         once = d.marginal(["A", "B"]).marginal(["A"])
         direct = d.marginal(["A"])
         assert np.allclose(once.table, direct.table, atol=1e-15)
+
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+BLOCK_SPECS = tuple(p.name for p in sorted(SPEC_DIR.glob("*.json"))
+                    if isinstance(parse_spec(p), tuple))
+
+
+def sparse_joint(rng, shape, keep):
+    """A random joint over ``shape`` with each cell kept with probability
+    ``keep`` (at least one cell)."""
+    flat = rng.dirichlet(np.ones(int(np.prod(shape)))) * (rng.random(int(np.prod(shape))) < keep)
+    if not flat.any():
+        flat[rng.integers(len(flat))] = 1.0
+    names = [f"V{i}" for i in range(len(shape))]
+    return joint_from((flat / flat.sum()).reshape(shape), names)
+
+
+def all_subsets(names):
+    return [list(c) for r in range(len(names) + 1) for c in itertools.combinations(names, r)]
+
+
+def dense_entropy(joint, names):
+    """The marginal entropy from the dense table summed over the dropped axes."""
+    keep = {joint.axis(n) for n in names}
+    table = joint.table.sum(axis=tuple(a for a in range(joint.table.ndim) if a not in keep))
+    q = table[table > 0.0]
+    return float(-(q * np.log2(q)).sum())
+
+
+class TestSupportEntropy:
+    def assert_matches_oracle(self, d, subsets):
+        cells, order = cells_of(d), list(d.names)
+        for names in subsets:
+            assert abs(d.entropy(names) - bf_entropy(cells, names, order)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 1, 4, 2, 1), (1, 1, 5), (4, 4, 4, 4)])
+    @pytest.mark.parametrize("keep", [0.05, 0.3, 1.0])
+    def test_sparse_tables_match_loop_oracle(self, rng, shape, keep):
+        for _ in range(3):
+            d = sparse_joint(rng, shape, keep)
+            self.assert_matches_oracle(d, all_subsets(d.names))
+
+    def test_point_mass(self):
+        table = np.zeros((3, 1, 4, 2))
+        table[2, 0, 1, 1] = 1.0
+        d = joint_from(table, ["A", "B", "C", "D"])
+        for names in all_subsets(d.names):
+            assert d.entropy(names) == 0.0
+
+    def test_sparse_wide_marginals_compress_their_keys(self, rng):
+        # 10 nonzero cells of 3,024: every marginal of over 40 cells takes the
+        # np.unique branch
+        shape = (6, 7, 8, 9)
+        table = np.zeros(int(np.prod(shape)))
+        table[rng.choice(table.size, 10, replace=False)] = rng.dirichlet(np.ones(10))
+        d = joint_from(table.reshape(shape), ["A", "B", "C", "D"])
+        wide = [names for names in all_subsets(d.names)
+                if np.prod([shape[d.axis(n)] for n in names]) > 4 * 10]
+        assert len(wide) >= 8
+        self.assert_matches_oracle(d, all_subsets(d.names))
+
+    def test_keys_are_c_order_over_the_kept_axes(self, rng):
+        shape = (3, 1, 4, 5)
+        digits = np.stack([rng.integers(0, s, 50) for s in shape], axis=1).astype(np.int32)
+        for axes in ([0, 2], [3], [0, 1, 2, 3], [1, 3]):
+            key, cells = marginal_keys(digits, shape, axes)
+            assert cells == np.prod([shape[a] for a in axes])
+            assert np.array_equal(key, np.ravel_multi_index(digits[:, axes].T,
+                                                            [shape[a] for a in axes]))
+
+    @pytest.mark.parametrize("spec", BLOCK_SPECS)
+    def test_spec_joints_match_dense_sums(self, spec):
+        ch = parse_spec(SPEC_DIR / spec)[0]
+        spaces = [enumerate_code_functions(n) for n in ch.nodes]
+        d = joint_distribution(CodeFunctionDistribution.uniform(spaces), ch)
+        if len(d.names) <= 7:
+            subsets = all_subsets(d.names)
+        else:   # 200 random subsets
+            masks = np.random.default_rng(0).random((200, len(d.names))) < 0.5
+            subsets = [[n for n, on in zip(d.names, m) if on] for m in masks]
+        for names in subsets:
+            assert abs(d.entropy(names) - dense_entropy(d, names)) <= 1e-12
 
 
 class TestValidation:
